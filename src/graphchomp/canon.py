@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 from .complexes import (
     SimplicialComplex,
     components,
     face_size,
     mask_of,
+    memoize,
     vertices_of,
 )
 
@@ -46,67 +48,26 @@ def labeled_key(c: SimplicialComplex) -> CanonicalKey:
     return CanonicalKey(_encode(faces, exact=False), faces, exact=False)
 
 
-_colors_cache: dict[frozenset[int], dict[int, int]] = {}
+def _dense_faces(c: SimplicialComplex, verts: list[int]) -> list[int]:
+    """Faces of c relabeled onto 0..n-1, given its n sorted vertices."""
+    if not verts or verts[-1] == len(verts) - 1:
+        return list(c.faces)
+    vidx = {v: i for i, v in enumerate(verts)}
+    return [mask_of(vidx[u] for u in vertices_of(f)) for f in c.faces]
 
 
-def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
-    """Stable vertex coloring; automorphisms preserve color classes."""
-    cached = _colors_cache.get(c.faces)
-    if cached is not None:
-        return cached
-    verts = list(c.vertices())
-    members = {f: vertices_of(f) for f in c.faces}
-    incident = {v: [f for f in c.faces if f >> v & 1] for v in verts}
-    colors = _refine(verts, members, incident, {v: 0 for v in verts})
-    if len(_colors_cache) >= _KEY_CACHE_MAX:
-        _colors_cache.clear()
-    _colors_cache[c.faces] = colors
-    return colors
+def _refiner(
+    n: int, fmembers: list[tuple[int, ...]]
+) -> Callable[[list[int]], list[int]]:
+    """Color refinement for the complex on 0..n-1 with the given faces.
 
-
-def _refine(verts, members, incident, colors):
-    n_colors = len(set(colors.values()))
-    while True:
-        fkeys = {
-            f: (len(mem), *sorted(colors[u] for u in mem))
-            for f, mem in members.items()
-        }
-        sigs = {
-            v: (colors[v], *sorted(fkeys[f] for f in incident[v]))
-            for v in verts
-        }
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        colors = {v: ranking[sigs[v]] for v in verts}
-        if len(ranking) == n_colors:
-            return colors
-        n_colors = len(ranking)
-
-
-def canonical_order(c: SimplicialComplex) -> list[int]:
-    """Vertex ordering realizing the canonical (minimal) face list."""
-    verts = sorted(c.vertices())
-    n = len(verts)
-    dense = verts == list(range(n))
-    if dense:
-        faces = sorted(c.faces)
-    else:
-        vidx = {v: i for i, v in enumerate(verts)}
-        faces = sorted(
-            mask_of(vidx[u] for u in vertices_of(f)) for f in c.faces
-        )
-    faces_set = frozenset(faces)
-    fmembers = [vertices_of(f) for f in faces]
-    fincident: list[list[int]] = [[] for _ in range(n)]
-    for fi, mem in enumerate(fmembers):
-        for u in mem:
-            fincident[u].append(fi)
-
-    best: list = [None, None]
-
-    is_graph = all(len(mem) <= 2 for mem in fmembers)
-    if is_graph:
-        # for graphs the face-keyed signature reduces to the multiset of
-        # neighbor colors, which is much cheaper to build
+    The returned function refines a vertex coloring until it is stable: a
+    vertex's new color ranks its old color with the multiset of colors of
+    its faces, so automorphisms preserve every color class.  For graphs the
+    face multiset reduces to whether the vertex is a face plus the multiset
+    of neighbor colors, which induces the same partition more cheaply.
+    """
+    if all(len(mem) <= 2 for mem in fmembers):
         nbrs: list[list[int]] = [[] for _ in range(n)]
         present = [False] * n
         for mem in fmembers:
@@ -117,37 +78,59 @@ def canonical_order(c: SimplicialComplex) -> list[int]:
                 nbrs[a].append(b)
                 nbrs[b].append(a)
 
-        def refine(colors: list[int]) -> list[int]:
-            n_colors = len(set(colors))
-            while True:
-                sigs = [
-                    (colors[v], present[v], *sorted(colors[u] for u in nbrs[v]))
-                    for v in range(n)
-                ]
-                ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-                colors = [ranking[s] for s in sigs]
-                if len(ranking) == n_colors:
-                    return colors
-                n_colors = len(ranking)
+        def signatures(colors: list[int]) -> list[tuple]:
+            return [
+                (colors[v], present[v], *sorted(colors[u] for u in nbrs[v]))
+                for v in range(n)
+            ]
     else:
-        def refine(colors: list[int]) -> list[int]:
-            n_colors = len(set(colors))
-            while True:
-                fkeys = [
-                    (len(mem), *sorted(colors[u] for u in mem))
-                    for mem in fmembers
-                ]
-                frank = {k: i for i, k in enumerate(sorted(set(fkeys)))}
-                fk = [frank[k] for k in fkeys]
-                sigs = [
-                    (colors[v], *sorted(fk[fi] for fi in fincident[v]))
-                    for v in range(n)
-                ]
-                ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-                colors = [ranking[s] for s in sigs]
-                if len(ranking) == n_colors:
-                    return colors
-                n_colors = len(ranking)
+        fincident: list[list[int]] = [[] for _ in range(n)]
+        for fi, mem in enumerate(fmembers):
+            for u in mem:
+                fincident[u].append(fi)
+
+        def signatures(colors: list[int]) -> list[tuple]:
+            fkeys = [
+                (len(mem), *sorted(colors[u] for u in mem)) for mem in fmembers
+            ]
+            frank = {k: i for i, k in enumerate(sorted(set(fkeys)))}
+            fk = [frank[k] for k in fkeys]
+            return [
+                (colors[v], *sorted(fk[fi] for fi in fincident[v]))
+                for v in range(n)
+            ]
+
+    def refine(colors: list[int]) -> list[int]:
+        n_colors = len(set(colors))
+        while True:
+            sigs = signatures(colors)
+            ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            colors = [ranking[s] for s in sigs]
+            if len(ranking) == n_colors:
+                return colors
+            n_colors = len(ranking)
+
+    return refine
+
+
+def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
+    """Stable vertex coloring; automorphisms preserve color classes."""
+    verts = sorted(c.vertices())
+    fmembers = [vertices_of(f) for f in _dense_faces(c, verts)]
+    colors = _refiner(len(verts), fmembers)([0] * len(verts))
+    return dict(zip(verts, colors))
+
+
+def canonical_order(c: SimplicialComplex) -> list[int]:
+    """Vertex ordering realizing the canonical (minimal) face list."""
+    verts = sorted(c.vertices())
+    n = len(verts)
+    faces = sorted(_dense_faces(c, verts))
+    faces_set = frozenset(faces)
+    fmembers = [vertices_of(f) for f in faces]
+    refine = _refiner(n, fmembers)
+
+    best: list = [None, None]
 
     def encode(order):
         pos = [0] * n
@@ -195,83 +178,53 @@ def canonical_order(c: SimplicialComplex) -> list[int]:
             descend(refine([ranking[s] for s in branched]))
 
     descend(refine([0] * n))
-    order = best[1]
-    return order if dense else [verts[v] for v in order]
+    return [verts[v] for v in best[1]]
 
 
-_key_cache: dict[frozenset[int], CanonicalKey] = {}
-_KEY_CACHE_MAX = 400_000
-
-
-def canonical_key(c: SimplicialComplex, bound: int = DEFAULT_CANON_BOUND) -> CanonicalKey:
+@memoize
+def canonical_key(c: SimplicialComplex) -> CanonicalKey:
     """Canonical key; equal exactly for isomorphic complexes.
 
-    Raises CanonicalizationBoundError above `bound` vertices; callers may
-    fall back to labeled_key.
+    Raises CanonicalizationBoundError above DEFAULT_CANON_BOUND vertices;
+    callers may fall back to labeled_key.
     """
     if not c.faces:
         return CanonicalKey(_encode((), exact=True), ())
-    cached = _key_cache.get(c.faces)
-    if cached is not None:
-        return cached
     verts = sorted(c.vertices())
-    if len(verts) > bound:
+    if len(verts) > DEFAULT_CANON_BOUND:
         raise CanonicalizationBoundError(
-            f"{len(verts)} vertices exceeds canonicalization bound {bound}"
+            f"{len(verts)} vertices exceeds canonicalization bound "
+            f"{DEFAULT_CANON_BOUND}"
         )
     if verts[-1] != len(verts) - 1:
         # normalize away label gaps first so all shifted relabelings of the
         # same position share one cache entry and one canonical search
-        vidx = {v: i for i, v in enumerate(verts)}
-        dense = SimplicialComplex(
-            len(verts),
-            frozenset(
-                mask_of(vidx[u] for u in vertices_of(f)) for f in c.faces
-            ),
+        return canonical_key(
+            SimplicialComplex(len(verts), frozenset(_dense_faces(c, verts)))
         )
-        key = canonical_key(dense, bound)
-        if len(_key_cache) >= _KEY_CACHE_MAX:
-            _key_cache.clear()
-        _key_cache[c.faces] = key
-        return key
     parts = components(c)
     if len(parts) > 1:
         # canonical form of a disjoint union: the sorted multiset of the
         # components' canonical forms, re-offset into one ground set
-        part_faces = sorted(
-            canonical_key(p, bound).faces for p in parts
-        )
-        combined = []
+        part_faces = sorted(canonical_key(p).faces for p in parts)
+        canon_faces = []
         offset = 0
         for faces in part_faces:
-            combined.extend(f << offset for f in faces)
+            canon_faces.extend(f << offset for f in faces)
             offset += max(f.bit_length() for f in faces)
-        combined.sort(key=lambda m: (face_size(m), m))
-        key = CanonicalKey(_encode(tuple(combined), exact=True), tuple(combined))
-        if len(_key_cache) >= _KEY_CACHE_MAX:
-            _key_cache.clear()
-        _key_cache[c.faces] = key
-        return key
-    order = canonical_order(c)
-    pos = {v: i for i, v in enumerate(order)}
-    canon_faces = []
-    for f in c.faces:
-        m = 0
-        for u in vertices_of(f):
-            m |= 1 << pos[u]
-        canon_faces.append(m)
+    else:
+        pos = {v: i for i, v in enumerate(canonical_order(c))}
+        canon_faces = [
+            mask_of(pos[u] for u in vertices_of(f)) for f in c.faces
+        ]
     canon_faces.sort(key=lambda m: (face_size(m), m))
-    key = CanonicalKey(_encode(tuple(canon_faces), exact=True), tuple(canon_faces))
-    if len(_key_cache) >= _KEY_CACHE_MAX:
-        _key_cache.clear()
-    _key_cache[c.faces] = key
-    return key
+    return CanonicalKey(_encode(tuple(canon_faces), exact=True), tuple(canon_faces))
 
 
-def position_key(c: SimplicialComplex, bound: int = DEFAULT_CANON_BOUND) -> CanonicalKey:
-    """Canonical key when within bound, else the labeled fallback."""
+def position_key(c: SimplicialComplex) -> CanonicalKey:
+    """Canonical key when within DEFAULT_CANON_BOUND, else the labeled fallback."""
     try:
-        return canonical_key(c, bound)
+        return canonical_key(c)
     except CanonicalizationBoundError:
         return labeled_key(c)
 

@@ -419,8 +419,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None,
                    help="node budget for the search")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (computation is single top-level)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,9 +8,39 @@ which caps the ground set at 64 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import lru_cache, wraps
+from typing import Callable, Iterable, Optional, TypeVar
 
 MAX_GROUND = 64
+
+# Entry limit shared by every analysis cache.
+CACHE_SIZE = 400_000
+
+_T = TypeVar("_T")
+_MISS = object()
+
+
+def memoize(fn: Callable[["SimplicialComplex"], _T]) -> Callable[["SimplicialComplex"], _T]:
+    """Cache fn(c) by c.faces, emptying the cache when it holds CACHE_SIZE entries.
+
+    Keyed on the face set, which is all the cached analyses read, rather than
+    on the complex, so the cache keeps no complex alive.  A call that raises
+    stores nothing.
+    """
+    cache: dict[frozenset[int], _T] = {}
+
+    @wraps(fn)
+    def cached(c: "SimplicialComplex") -> _T:
+        result = cache.get(c.faces, _MISS)
+        if result is _MISS:
+            result = fn(c)
+            if len(cache) >= CACHE_SIZE:
+                cache.clear()
+            cache[c.faces] = result
+        return result
+
+    cached.cache = cache
+    return cached
 
 
 class InvalidInputError(ValueError):
@@ -28,13 +58,8 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-_vertices_cache: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def vertices_of(mask: int) -> tuple[int, ...]:
-    cached = _vertices_cache.get(mask)
-    if cached is not None:
-        return cached
     out = []
     m, v = mask, 0
     while m:
@@ -42,10 +67,7 @@ def vertices_of(mask: int) -> tuple[int, ...]:
             out.append(v)
         m >>= 1
         v += 1
-    result = tuple(out)
-    if len(_vertices_cache) < 1_000_000:
-        _vertices_cache[mask] = result
-    return result
+    return tuple(out)
 
 
 def face_size(mask: int) -> int:
@@ -139,10 +161,7 @@ def dense_relabeling(vertex_list: Iterable[int]) -> dict[int, int]:
     return {v: i for i, v in enumerate(sorted(vertex_list))}
 
 
-_components_cache: dict[frozenset[int], list["SimplicialComplex"]] = {}
-_ANALYSIS_CACHE_MAX = 400_000
-
-
+@memoize
 def components(c: SimplicialComplex) -> list[SimplicialComplex]:
     """Connected components by shared-vertex connectivity, densely relabeled.
 
@@ -150,9 +169,6 @@ def components(c: SimplicialComplex) -> list[SimplicialComplex]:
     """
     if not c.faces:
         return []
-    cached = _components_cache.get(c.faces)
-    if cached is not None:
-        return cached
     groups: list[int] = []
     for f in c.faces:
         merged = f
@@ -183,9 +199,6 @@ def components(c: SimplicialComplex) -> list[SimplicialComplex]:
                     for f in c.faces if f & gm
                 ),
             ))
-    if len(_components_cache) >= _ANALYSIS_CACHE_MAX:
-        _components_cache.clear()
-    _components_cache[c.faces] = out
     return out
 
 
@@ -214,14 +227,9 @@ class GraphStats:
     component_count: int
 
 
-_stats_cache: dict[frozenset[int], GraphStats] = {}
-
-
+@memoize
 def graph_stats(c: SimplicialComplex) -> GraphStats:
     """Vertex/edge counts, degrees, two-coloring (if bipartite), independent cycles."""
-    cached = _stats_cache.get(c.faces)
-    if cached is not None:
-        return cached
     if not is_graph(c):
         raise InvalidInputError("graph statistics requested for a non-graph complex")
     adj = adjacency(c)
@@ -252,11 +260,7 @@ def graph_stats(c: SimplicialComplex) -> GraphStats:
         side0 = frozenset(u for u, s in color.items() if s == 0)
         side1 = frozenset(u for u, s in color.items() if s == 1)
         bipartition = (side0, side1)
-    stats = GraphStats(v, e, degrees, bipartition, e - v + comp_count, comp_count)
-    if len(_stats_cache) >= _ANALYSIS_CACHE_MAX:
-        _stats_cache.clear()
-    _stats_cache[c.faces] = stats
-    return stats
+    return GraphStats(v, e, degrees, bipartition, e - v + comp_count, comp_count)
 
 
 # --- text formats -----------------------------------------------------------

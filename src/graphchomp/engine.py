@@ -8,10 +8,11 @@ Witness optimal moves are reported for the whole, undecomposed position.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .canon import CanonicalKey, DEFAULT_CANON_BOUND, position_key
+from .canon import CanonicalKey, position_key
 from .closed_forms import (
     engine_certified_value,
     engine_fast_value,
@@ -49,7 +50,6 @@ class EngineConfig:
     use_closed_forms: bool = True
     use_decomposition: bool = True
     memo_capacity: int = 4_000_000
-    canonicalization_bound: int = DEFAULT_CANON_BOUND
 
 
 class BudgetExceededError(RuntimeError):
@@ -111,8 +111,17 @@ class TranspositionTable:
             "version": 1,
             "entries": {k.hex(): v for k, v in sorted(self.entries.items())},
         }
-        with open(path, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
+        # write a sibling file and rename it over the target, so a failed
+        # write leaves the previous table intact
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(data, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str, capacity: int = 4_000_000) -> "TranspositionTable":
@@ -153,7 +162,7 @@ class _Solver:
         return self.component_value(c)
 
     def component_value(self, c: SimplicialComplex) -> int:
-        key = position_key(c, self.cfg.canonicalization_bound)
+        key = position_key(c)
         cached = self.table.lookup(key.digest)
         if cached is not None:
             return cached
@@ -216,20 +225,18 @@ def grundy(
     solver = _Solver(cfg, table, node_budget)
     value = solver.value(c)
     witnesses: dict[int, int] = {}
-    if not witness:
-        pass
-    elif full_spectrum:
+    if witness and full_spectrum:
         for s in moves(c):
             child_value = solver.value(remove_face(c, s))
             witnesses.setdefault(child_value, s)
-    elif value != 0:
+    elif witness and value != 0:
         # winning move: the first move (in the deterministic order) that
         # hands the opponent a zero position
         for s in moves(c):
             if solver.value(remove_face(c, s)) == 0:
                 witnesses[0] = s
                 break
-    key = position_key(c, cfg.canonicalization_bound)
+    key = position_key(c)
     stats = dict(table.stats(), nodes=solver.nodes)
     return GrundyRecord(value, witnesses, key, stats)
 

@@ -12,12 +12,13 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .canon import canonical_key, position_key, refinement_colors
+from .canon import position_key, refinement_colors
 from .complexes import (
     SimplicialComplex,
     dense_relabeling,
     face_size,
     mask_of,
+    memoize,
     vertices_of,
 )
 
@@ -45,10 +46,6 @@ class Involution:
 
     def is_identity(self) -> bool:
         return not self.pairs
-
-    def apply_face(self, face: int) -> int:
-        m = self.mapping
-        return mask_of(m[v] for v in vertices_of(face))
 
 
 @dataclass(frozen=True)
@@ -101,15 +98,16 @@ def validate_involution(
     for v, w in mapping.items():
         if mapping[w] != v:
             return False, "not-order-2"
-    if isinstance(t, dict):
-        t = Involution.from_mapping(t)
-    for f in c.faces:
-        if t.apply_face(f) not in c.faces:
-            return False, "not-face-preserving"
     moved = mask_of(v for v, w in mapping.items() if v != w)
+    fixed_set_ok = True
     for f in c.faces:
-        if t.apply_face(f) == f and f & moved:
-            return False, "fixed-set-not-complex"
+        image = mask_of(mapping[v] for v in vertices_of(f))
+        if image not in c.faces:
+            return False, "not-face-preserving"
+        if image == f and f & moved:
+            fixed_set_ok = False
+    if not fixed_set_ok:
+        return False, "fixed-set-not-complex"
     return True, None
 
 
@@ -135,14 +133,14 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
 
     Refinement colors are automorphism-invariant, so images are only tried
     within a vertex's own class; pairing two adjacent vertices is pruned
-    immediately (their shared edge would be setwise fixed).
+    immediately (their shared edge would be setwise fixed).  Each complete
+    candidate is yielded only if validate_involution accepts it.
     """
     verts = sorted(c.vertices())
     if len(verts) < 2:
         return
     colors = refinement_colors(c)
     edges = {f for f in c.faces if face_size(f) == 2}
-    faces = c.faces
 
     mapping: dict[int, int] = {}
 
@@ -156,23 +154,10 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
                 return False
         return True
 
-    def emit() -> Optional[Involution]:
-        t = Involution.from_mapping(mapping)
-        if t.is_identity():
-            return None
-        for f in faces:
-            if t.apply_face(f) not in faces:
-                return None
-        moved = mask_of(a for p in t.pairs for a in p)
-        for f in faces:
-            if f & moved and t.apply_face(f) == f:
-                return None
-        return t
-
     def backtrack(i: int) -> Iterator[Involution]:
         if i == len(verts):
-            t = emit()
-            if t is not None:
+            t = Involution.from_mapping(mapping)
+            if not t.is_identity() and validate_involution(c, mapping)[0]:
                 yield t
             return
         v = verts[i]
@@ -198,10 +183,7 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
     yield from backtrack(0)
 
 
-_reduction_cache: dict[frozenset[int], Optional[tuple]] = {}
-_REDUCTION_CACHE_MAX = 400_000
-
-
+@memoize
 def find_reduction(
     c: SimplicialComplex,
 ) -> Optional[tuple[Involution, SimplicialComplex]]:
@@ -210,31 +192,18 @@ def find_reduction(
     Deterministic choice: fewest fixed-set vertices, then smallest canonical
     key of the fixed set, then smallest pair list.
     """
-    if c.faces in _reduction_cache:
-        return _reduction_cache[c.faces]
     best = None
     for t in _valid_involutions(c):
         fps = fixed_point_set(c, t)
         rank = (len(t.fixed), position_key(fps).digest, t.pairs)
         if best is None or rank < best[0]:
             best = (rank, t, fps)
-    result = None if best is None else (best[1], best[2])
-    if len(_reduction_cache) >= _REDUCTION_CACHE_MAX:
-        _reduction_cache.clear()
-    _reduction_cache[c.faces] = result
-    return result
-
-
-def has_reduction(c: SimplicialComplex) -> bool:
-    for t in _valid_involutions(c):
-        fixed_point_set(c, t)
-        return True
-    return False
+    return None if best is None else (best[1], best[2])
 
 
 def is_simplest_form(c: SimplicialComplex) -> bool:
     """True when no valid non-identity involution exists (exhaustive search)."""
-    return not has_reduction(c)
+    return next(_valid_involutions(c), None) is None
 
 
 def reduce_to_simplest(

@@ -1,9 +1,18 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from graphchomp.complexes import SimplicialComplex, close_down, mask_of
+
+# pyproject's pytest `pythonpath` reaches only this process; tests that run
+# `python -m graphchomp.cli` need the source tree on the child's path too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @st.composite

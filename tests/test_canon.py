@@ -46,19 +46,37 @@ def test_refinement_colors_respect_degree():
     assert colors[0] != colors[1]
 
 
+@given(st.one_of(small_graphs(), small_complexes()).flatmap(
+    lambda c: st.tuples(st.just(c), permutations_of(c))))
+@settings(max_examples=80)
+def test_refinement_colors_relabel_invariant(pair):
+    # small_graphs() takes the graph signature, small_complexes() mostly
+    # the face signature; both must give relabeled vertices equal colors
+    c, mapping = pair
+    colors = refinement_colors(c)
+    relabeled = refinement_colors(relabel(c, mapping, c.ground_size))
+    assert {mapping[v]: col for v, col in colors.items()} == relabeled
+
+
 def test_complete_graph_canonicalizes_fast():
     # interchangeable-cell pruning must keep fully symmetric inputs cheap
-    key = canonical_key(complete(10), bound=16)
+    key = canonical_key(complete(10))
     assert key.exact
 
 
 def test_bound_error_and_fallback():
     big = path(20)
     with pytest.raises(CanonicalizationBoundError):
-        canonical_key(big, bound=16)
-    key = position_key(big, bound=16)
+        canonical_key(big)
+    key = position_key(big)
     assert not key.exact
     assert key.digest == labeled_key(big).digest
+
+
+def test_bound_error_is_not_cached():
+    for _ in range(2):
+        with pytest.raises(CanonicalizationBoundError):
+            canonical_key(path(17))
 
 
 def test_canonical_faces_are_a_valid_relabeling():

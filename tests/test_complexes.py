@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from graphchomp import complexes
+from graphchomp.canon import canonical_key
 from graphchomp.complexes import (
     IllegalMoveError,
     InvalidInputError,
@@ -20,6 +22,8 @@ from graphchomp.complexes import (
     save_complex,
     vertices_of,
 )
+from graphchomp.families import cycle, erdos_renyi, path, wheel
+from graphchomp.symmetry import find_reduction
 
 from conftest import small_complexes, small_graphs
 
@@ -139,3 +143,18 @@ def test_cplx_rejects_unrecognized_lines():
 def test_ground_set_cap():
     with pytest.raises(InvalidInputError):
         close_down([1], 65)
+
+
+def test_memoized_caches_stay_bounded(monkeypatch):
+    cached_fns = (components, graph_stats, canonical_key, find_reduction)
+    positions = [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 8)]
+    positions += [wheel(5), erdos_renyi(6, 0.5, 1)]
+    expected = {fn: [fn.__wrapped__(c) for c in positions] for fn in cached_fns}
+    monkeypatch.setattr(complexes, "CACHE_SIZE", 3)
+    for fn in cached_fns:
+        fn.cache.clear()
+    for _ in range(2):
+        for i, c in enumerate(positions):
+            for fn in cached_fns:
+                assert fn(c) == expected[fn][i]
+                assert len(fn.cache) <= 3

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,26 @@ def test_table_save_load(tmp_path):
     t.save(str(p))
     back = TranspositionTable.load(str(p))
     assert back.entries == t.entries
+
+
+def test_table_save_failure_keeps_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "cache.json"
+    old = TranspositionTable()
+    old.insert(b"\x01", 1)
+    old.save(str(p))
+    before = p.read_bytes()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"format": "graphchomp-table", "entr')
+        raise OSError("disk full")
+
+    new = TranspositionTable()
+    new.insert(b"\x02", 2)
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        new.save(str(p))
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["cache.json"]
 
 
 def test_table_load_rejects_other_formats(tmp_path):

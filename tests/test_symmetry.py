@@ -19,7 +19,6 @@ from graphchomp.symmetry import (
     ReductionTrace,
     find_reduction,
     fixed_point_set,
-    has_reduction,
     is_simplest_form,
     reduce_to_simplest,
     validate_involution,
@@ -124,4 +123,4 @@ def test_trace_replay():
 def test_reduce_terminates_in_simplest_form():
     final, trace = reduce_to_simplest(path(9))
     assert trace.complete
-    assert not has_reduction(final)
+    assert is_simplest_form(final)
