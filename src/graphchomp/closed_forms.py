@@ -76,21 +76,6 @@ def even_cycle_pseudotree_value(v: int) -> FormulaResult:
     return FormulaResult(EXACT, 3 if v % 2 else 0, "even-cycle-pseudotree")
 
 
-def degree_witnesses(
-    c: SimplicialComplex,
-) -> tuple[Optional[int], Optional[int]]:
-    """(even-degree vertex, odd-degree vertex), whichever exist."""
-    stats = graph_stats(c)
-    even = odd = None
-    for u in sorted(stats.degrees):
-        if stats.degrees[u] % 2 == 0:
-            if even is None:
-                even = u
-        elif odd is None:
-            odd = u
-    return even, odd
-
-
 # --- complete multipartite detection ---------------------------------------
 
 
@@ -236,9 +221,7 @@ def _single_attachment(
 
 
 def single_attachment_value(
-    c: SimplicialComplex,
-    shape: Optional[PseudotreeShape] = None,
-    simplest: Optional[bool] = None,
+    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None
 ) -> FormulaResult:
     """Odd cycle joined to one tree by an edge, in simplest form.
 
@@ -251,9 +234,7 @@ def single_attachment_value(
     ab = _single_attachment(c, shape)
     if ab is None:
         return _na()
-    if simplest is None:
-        simplest = is_simplest_form(c)
-    if not simplest:
+    if not is_simplest_form(c):
         return _na()
     _, b = ab
     deg_b = len(adjacency(c)[b])
@@ -322,9 +303,7 @@ def gmk_recurrence(m: int, k: int, memo: Optional[dict] = None) -> int:
 
 
 def hairball_value(
-    c: SimplicialComplex,
-    shape: Optional[PseudotreeShape] = None,
-    simplest: Optional[bool] = None,
+    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None
 ) -> FormulaResult:
     """Odd-cycle hairball in simplest form (not a bare cycle).
 
@@ -337,9 +316,7 @@ def hairball_value(
         return _na()
     if not shape.tail_profile:
         return _na()  # bare cycle
-    if simplest is None:
-        simplest = is_simplest_form(c)
-    if not simplest:
+    if not is_simplest_form(c):
         return _na()
     if shape.v % 2 == 1:
         return FormulaResult(EXACT, 3, "hairball")
@@ -454,14 +431,15 @@ def wants_simplest_certificate(
 def engine_certified_value(
     c: SimplicialComplex, stats: Optional[GraphStats]
 ) -> Optional[tuple[int, str]]:
-    """Exact closed form for a position already certified simplest-form."""
+    """Exact hairball or single-attachment value for a simplest-form
+    position, or None."""
     shape = pseudotree_classify(c)
     if shape is None or not shape.odd_cycle:
         return None
-    r = hairball_value(c, shape, simplest=True)
+    r = hairball_value(c, shape)
     if r.is_exact:
         return r.value, r.rule
-    r = single_attachment_value(c, shape, simplest=True)
+    r = single_attachment_value(c, shape)
     if r.is_exact:
         return r.value, r.rule
     return None

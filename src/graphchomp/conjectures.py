@@ -239,14 +239,15 @@ def scan_wheels(
     table: Optional[TranspositionTable] = None,
     node_budget: Optional[int] = None,
 ) -> list[dict]:
-    """Wheel values for 3 <= n <= n_max; even n certified by reduction to the
-    3-vertex path, odd n by direct search up to the budget."""
+    """Wheel values for 3 <= n <= n_max; even n certified by reducing to
+    the same simplest form as the 3-vertex path (value 1), odd n by direct
+    search up to the budget."""
     if n_max < 3:
         raise InvalidInputError("n_max must be >= 3")
     cfg = cfg or EngineConfig()
     table = table if table is not None else TranspositionTable(cfg.memo_capacity)
     rows = []
-    path3_key = canonical_key(path(3)).digest
+    path3_key = canonical_key(reduce_to_simplest(path(3))[0]).digest
     for n in range(3, n_max + 1):
         row = {"id": f"wheels:{n}", "kind": "wheels", "n": n}
         w = wheel(n)

@@ -7,8 +7,10 @@ Witness optimal moves are reported for the whole, undecomposed position.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -66,6 +68,15 @@ class TableCapacityError(RuntimeError):
         self.stats = stats
 
 
+TABLE_VERSION = 2
+_HEX_KEY = re.compile(r"(?:[0-9a-f]{2})+")
+
+
+def _entries_checksum(entries: dict[str, int]) -> str:
+    text = json.dumps(entries, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TranspositionTable:
     """Canonical key -> nim-value store with idempotent inserts."""
 
@@ -106,10 +117,12 @@ class TranspositionTable:
         }
 
     def save(self, path: str) -> None:
+        entries = {k.hex(): v for k, v in sorted(self.entries.items())}
         data = {
             "format": "graphchomp-table",
-            "version": 1,
-            "entries": {k.hex(): v for k, v in sorted(self.entries.items())},
+            "version": TABLE_VERSION,
+            "checksum": _entries_checksum(entries),
+            "entries": entries,
         }
         # write a sibling file and rename it over the target, so a failed
         # write leaves the previous table intact
@@ -125,13 +138,33 @@ class TranspositionTable:
 
     @classmethod
     def load(cls, path: str, capacity: int = 4_000_000) -> "TranspositionTable":
+        """Read a table written by save, raising ValueError on any defect.
+
+        The sha256 checksum in the header detects edits and corruption, not
+        a forger: whoever rewrites the entries can recompute it.
+        """
         with open(path) as fh:
             data = json.load(fh)
-        if data.get("format") != "graphchomp-table" or data.get("version") != 1:
+        if not isinstance(data, dict) or data.get("format") != "graphchomp-table":
             raise ValueError("unrecognized cache file format")
+        if data.get("version") != TABLE_VERSION:
+            raise ValueError(
+                f"cache file version {data.get('version')!r} is not "
+                f"{TABLE_VERSION}; delete it and solve again"
+            )
+        entries = data.get("entries")
+        if not isinstance(entries, dict):
+            raise ValueError("cache file has no entries object")
+        for k, v in entries.items():
+            if not _HEX_KEY.fullmatch(k):
+                raise ValueError(f"cache key {k!r} is not hex")
+            if type(v) is not int or v < 0:
+                raise ValueError(f"cache value {v!r} is not a nim-value")
+        if data.get("checksum") != _entries_checksum(entries):
+            raise ValueError("cache file checksum mismatch")
         table = cls(capacity)
-        for k, v in data["entries"].items():
-            table.entries[bytes.fromhex(k)] = int(v)
+        for k, v in entries.items():
+            table.entries[bytes.fromhex(k)] = v
         return table
 
 
@@ -177,31 +210,18 @@ class _Solver:
             if hit is not None:
                 value = hit[0]
 
-        if value is None and (self.cfg.use_reduction or self.cfg.use_closed_forms):
-            reduction = None
-            searched = False
-            if self.cfg.use_reduction:
-                reduction = find_reduction(c)
-                searched = True
-                if reduction is not None:
-                    value = self.value(reduction[1])
-            if value is None and self.cfg.use_closed_forms and \
-                    wants_simplest_certificate(c, stats):
-                if not searched:
-                    reduction = find_reduction(c)
-                    searched = True
-                if reduction is None:
-                    hit = engine_certified_value(c, stats)
-                    if hit is not None:
-                        value = hit[0]
+        if value is None and self.cfg.use_reduction:
+            reduction = find_reduction(c)
+            if reduction is not None:
+                value = self.value(reduction[1])
+        if value is None and self.cfg.use_closed_forms and \
+                wants_simplest_certificate(c, stats):
+            hit = engine_certified_value(c, stats)
+            if hit is not None:
+                value = hit[0]
 
         if value is None:
-            faces = c.faces
-            sup = {s: frozenset(f for f in faces if f & s == s) for s in faces}
-            value = mex(
-                self.value(SimplicialComplex(c.ground_size, faces - sup[s]))
-                for s in faces
-            )
+            value = mex(self.value(remove_face(c, s)) for s in c.faces)
 
         self.table.insert(key.digest, value)
         return value

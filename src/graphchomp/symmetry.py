@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .canon import position_key, refinement_colors
+from .canon import refinement_colors
 from .complexes import (
     SimplicialComplex,
     dense_relabeling,
@@ -49,23 +49,17 @@ class Involution:
 
 
 @dataclass(frozen=True)
-class ReductionStep:
-    involution: Involution
-    fixed_complex: SimplicialComplex
-
-
-@dataclass(frozen=True)
 class ReductionTrace:
-    steps: tuple[ReductionStep, ...]
+    steps: tuple[Involution, ...]
     complete: bool = True
 
     def to_json(self) -> str:
         data = [
             {
-                "pairs": [list(p) for p in step.involution.pairs],
-                "fixed_vertices": list(step.involution.fixed),
+                "pairs": [list(p) for p in t.pairs],
+                "fixed_vertices": list(t.fixed),
             }
-            for step in self.steps
+            for t in self.steps
         ]
         return json.dumps({"steps": data, "complete": self.complete}, sort_keys=True)
 
@@ -116,6 +110,11 @@ def fixed_point_set(c: SimplicialComplex, t: Involution) -> SimplicialComplex:
     ok, reason = validate_involution(c, t)
     if not ok:
         raise ValueError(f"invalid involution: {reason}")
+    return _fixed_subcomplex(c, t)
+
+
+def _fixed_subcomplex(c: SimplicialComplex, t: Involution) -> SimplicialComplex:
+    """fixed_point_set for an involution already known to be valid."""
     fixed_mask = mask_of(t.fixed)
     faces = [f for f in c.faces if f & fixed_mask == f]
     verts = set()
@@ -131,10 +130,12 @@ def fixed_point_set(c: SimplicialComplex, t: Involution) -> SimplicialComplex:
 def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
     """All valid non-identity involutions, via backtracking over color classes.
 
-    Refinement colors are automorphism-invariant, so images are only tried
-    within a vertex's own class; pairing two adjacent vertices is pruned
-    immediately (their shared edge would be setwise fixed).  Each complete
-    candidate is yielded only if validate_involution accepts it.
+    Order: each vertex in ascending label order tries every unassigned
+    partner of its own refinement color in ascending order, and being fixed
+    last.  Refinement colors are automorphism-invariant, so no other image
+    is possible; pairing two adjacent vertices is pruned immediately (their
+    shared edge would be setwise fixed).  Each complete candidate is yielded
+    only if validate_involution accepts it.
     """
     verts = sorted(c.vertices())
     if len(verts) < 2:
@@ -164,10 +165,6 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
         if v in mapping:
             yield from backtrack(i + 1)
             return
-        mapping[v] = v
-        if consistent(v, v):
-            yield from backtrack(i + 1)
-        del mapping[v]
         for w in verts[i + 1:]:
             if w in mapping or colors[w] != colors[v]:
                 continue
@@ -179,31 +176,32 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
                 yield from backtrack(i + 1)
             del mapping[v]
             del mapping[w]
+        mapping[v] = v
+        if consistent(v, v):
+            yield from backtrack(i + 1)
+        del mapping[v]
 
     yield from backtrack(0)
 
 
 @memoize
+def _first_involution(c: SimplicialComplex) -> Optional[Involution]:
+    """The first valid involution in _valid_involutions order, or None."""
+    return next(_valid_involutions(c), None)
+
+
 def find_reduction(
     c: SimplicialComplex,
 ) -> Optional[tuple[Involution, SimplicialComplex]]:
-    """A valid non-identity involution and its fixed set, or None.
-
-    Deterministic choice: fewest fixed-set vertices, then smallest canonical
-    key of the fixed set, then smallest pair list.
-    """
-    best = None
-    for t in _valid_involutions(c):
-        fps = fixed_point_set(c, t)
-        rank = (len(t.fixed), position_key(fps).digest, t.pairs)
-        if best is None or rank < best[0]:
-            best = (rank, t, fps)
-    return None if best is None else (best[1], best[2])
+    """The first valid involution (see _valid_involutions) and its fixed set,
+    or None when c is in simplest form."""
+    t = _first_involution(c)
+    return None if t is None else (t, _fixed_subcomplex(c, t))
 
 
 def is_simplest_form(c: SimplicialComplex) -> bool:
-    """True when no valid non-identity involution exists (exhaustive search)."""
-    return next(_valid_involutions(c), None) is None
+    """True when no valid non-identity involution exists."""
+    return _first_involution(c) is None
 
 
 def reduce_to_simplest(
@@ -221,7 +219,6 @@ def reduce_to_simplest(
         found = find_reduction(pos)
         if found is None:
             break
-        t, fps = found
-        steps.append(ReductionStep(t, fps))
-        pos = fps
+        t, pos = found
+        steps.append(t)
     return pos, ReductionTrace(tuple(steps), complete)

@@ -176,6 +176,19 @@ def test_cache_file_roundtrip(capsys, tmp_path):
     assert json.loads(out)["stats"]["hits"] > 0
 
 
+def test_edited_cache_file_exits_2(capsys, tmp_path):
+    cache = tmp_path / "cache.json"
+    code, _ = run_cli(capsys, "solve", "--family", "complete:3", "--json",
+                      "--cache", str(cache))
+    assert code == 0
+    data = json.loads(cache.read_text())
+    data["entries"] = {k: 2 for k in data["entries"]}
+    cache.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "solve", "--family", "complete:3", "--json",
+                        "--cache", str(cache))
+    assert code == 2 and out == ""
+
+
 def test_chomp_cache_env(capsys, tmp_path, monkeypatch):
     env_cache = tmp_path / "env.json"
     monkeypatch.setenv("CHOMP_CACHE", str(env_cache))

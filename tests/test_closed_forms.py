@@ -185,7 +185,7 @@ def test_single_attachment_theorem_small():
     c = hairball(3, [[1, 1]])  # two 1-tails at one cycle vertex, v=5
     shape = pseudotree_classify(c)
     assert is_simplest_form(c) is False or shape is not None
-    res = single_attachment_value(c, shape, simplest=is_simplest_form(c))
+    res = single_attachment_value(c, shape)
     if res.kind == EXACT:
         assert res.value == oracle_grundy(c)
 
@@ -194,7 +194,7 @@ def test_hairball_classification_examples():
     # odd vertex count -> 3
     c = hairball(3, [[2], [2]])  # v = 7
     shape = pseudotree_classify(c)
-    res = hairball_value(c, shape, simplest=is_simplest_form(c))
+    res = hairball_value(c, shape)
     assert res.kind == EXACT and res.value == 3
     assert oracle_grundy(c) == 3
 
@@ -221,5 +221,5 @@ def test_formula_kinds():
     # odd branch degree gives only a lower bound
     c = gmk(1, 2)
     shape = pseudotree_classify(c)
-    res = single_attachment_value(c, shape, simplest=True)
+    res = single_attachment_value(c, shape)
     assert res.kind in (EXACT, LOWER_BOUND)

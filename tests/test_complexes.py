@@ -23,7 +23,7 @@ from graphchomp.complexes import (
     vertices_of,
 )
 from graphchomp.families import cycle, erdos_renyi, path, wheel
-from graphchomp.symmetry import find_reduction
+from graphchomp.symmetry import _first_involution
 
 from conftest import small_complexes, small_graphs
 
@@ -146,7 +146,7 @@ def test_ground_set_cap():
 
 
 def test_memoized_caches_stay_bounded(monkeypatch):
-    cached_fns = (components, graph_stats, canonical_key, find_reduction)
+    cached_fns = (components, graph_stats, canonical_key, _first_involution)
     positions = [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 8)]
     positions += [wheel(5), erdos_renyi(6, 0.5, 1)]
     expected = {fn: [fn.__wrapped__(c) for c in positions] for fn in cached_fns}

@@ -105,3 +105,10 @@ def test_report_roundtrip(tmp_path):
     p = tmp_path / "r.jsonl"
     write_report(rows, str(p))
     assert load_report(str(p)) == rows
+
+
+def test_scan_wheels_even_rows_certified_by_reduction():
+    rows = {r["n"]: r for r in scan_wheels(8)}
+    for n in (4, 6, 8):
+        assert rows[n]["method"] == "reduction", rows[n]
+        assert rows[n]["value"] == 1

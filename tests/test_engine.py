@@ -92,6 +92,40 @@ def test_table_load_rejects_other_formats(tmp_path):
         TranspositionTable.load(str(p))
 
 
+def test_table_load_rejects_edited_values(tmp_path):
+    # an edited file must not make the engine report a false value
+    p = tmp_path / "cache.json"
+    t = TranspositionTable()
+    assert grundy(complete(3), table=t).value == 0
+    t.save(str(p))
+    data = json.loads(p.read_text())
+    data["entries"] = {k: 2 for k in data["entries"]}
+    p.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="checksum"):
+        TranspositionTable.load(str(p))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(version=1),
+    lambda d: d.pop("checksum"),
+    lambda d: d["entries"].update({"0g": 1}),
+    lambda d: d["entries"].update({"01": -1}),
+    lambda d: d["entries"].update({"01": "1"}),
+    lambda d: d["entries"].update({"01": 1.0}),
+    lambda d: d["entries"].update({"01": True}),
+])
+def test_table_load_rejects_malformed_files(tmp_path, edit):
+    p = tmp_path / "cache.json"
+    t = TranspositionTable()
+    t.insert(b"\x02", 3)
+    t.save(str(p))
+    data = json.loads(p.read_text())
+    edit(data)
+    p.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        TranspositionTable.load(str(p))
+
+
 @given(small_graphs(max_vertices=5))
 @settings(max_examples=40, deadline=None)
 def test_engine_matches_oracle(c):

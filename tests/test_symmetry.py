@@ -17,6 +17,7 @@ from graphchomp.oracle import oracle_grundy
 from graphchomp.symmetry import (
     Involution,
     ReductionTrace,
+    _valid_involutions,
     find_reduction,
     fixed_point_set,
     is_simplest_form,
@@ -24,7 +25,7 @@ from graphchomp.symmetry import (
     validate_involution,
 )
 
-from conftest import small_graphs
+from conftest import small_complexes, small_graphs
 
 
 def test_involution_must_be_order_two():
@@ -76,6 +77,20 @@ def test_reduction_preserves_nim_value(c):
     ok, reason = validate_involution(c, t)
     assert ok, reason
     assert oracle_grundy(fixed) == oracle_grundy(c)
+
+
+@given(st.one_of(small_graphs(), small_complexes()))
+@settings(max_examples=60, deadline=None)
+def test_one_search_answers_reduction_and_simplest_form(c):
+    first = next(_valid_involutions(c), None)
+    found = find_reduction(c)
+    if first is None:
+        assert found is None
+    else:
+        t, fixed = found
+        assert t == first
+        assert fixed.faces == fixed_point_set(c, t).faces
+    assert is_simplest_form(c) == (found is None)
 
 
 def test_simplest_form_examples():
