@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import conjectures
-from .canon import canonical_key
+from .canon import position_key
 from .closed_forms import (
     bipartite_value,
     complete_graph_value,
@@ -147,13 +147,15 @@ def cmd_solve(args) -> int:
 def cmd_reduce(args) -> int:
     c = _load_position(args)
     final, trace = reduce_to_simplest(c, args.budget)
+    key = position_key(final)
     result = {
         "complete": trace.complete,
         "steps": json.loads(trace.to_json())["steps"],
         "final": {
             "ground_size": final.ground_size,
             "faces": _faces_json(final),
-            "canonical_key": canonical_key(final).digest.hex(),
+            # above the canonicalization bound the key is the labeled fallback
+            "canonical_key" if key.exact else "labeled_key": key.digest.hex(),
         },
     }
     if args.out:

@@ -17,6 +17,7 @@ from .complexes import (
     adjacency,
     graph_stats,
     is_graph,
+    memoize,
 )
 from .symmetry import is_simplest_form
 
@@ -132,6 +133,7 @@ class PseudotreeShape:
     v: int
 
 
+@memoize
 def pseudotree_classify(c: SimplicialComplex) -> Optional[PseudotreeShape]:
     """Shape of a connected single-cycle graph, or None."""
     if not is_graph(c) or not c.faces:

@@ -150,11 +150,25 @@ def multi_attachment_instances(
     cycle_size: int, v_max: int
 ) -> Iterator[tuple[SimplicialComplex, str]]:
     """All pseudotrees on <= v_max vertices: given odd cycle, trees attached
-    to >= 2 cycle vertices; deduplicated up to isomorphism."""
+    to >= 2 cycle vertices; one per isomorphism class.
+
+    Each cycle vertex carries a canonical rooted forest, and an isomorphism
+    maps the unique cycle onto itself, so two assignments are isomorphic
+    exactly when a rotation or reflection of the cycle maps one onto the
+    other.  Assignments are enumerated in lexicographic order of their
+    per-vertex rank (vertices used, index among those forests); the first of
+    each class is the one whose rank list is <= all of its dihedral images.
+    """
     from .families import graph_complex
 
-    seen = set()
     budget_total = v_max - cycle_size
+
+    def first_of_class(ranks: list) -> bool:
+        mirror = ranks[::-1]
+        return all(
+            ranks <= r[k:] + r[:k]
+            for r in (ranks, mirror) for k in range(cycle_size)
+        )
 
     def build(assignment) -> SimplicialComplex:
         edges = [(i, (i + 1) % cycle_size) for i in range(cycle_size)]
@@ -172,15 +186,14 @@ def multi_attachment_instances(
                 add(pos, subtree)
         return graph_complex(counter[0], edges)
 
-    def rec(pos: int, budget: int, assignment: list):
-        if pos == cycle_size:
-            if sum(1 for forest in assignment if forest) < 2:
+    def rec(budget: int, ranks: list):
+        if len(ranks) == cycle_size:
+            if sum(1 for used, _ in ranks if used) < 2 or \
+                    not first_of_class(ranks):
                 return
+            assignment = [_attachment_options(used)[index]
+                          for used, index in ranks]
             c = build(assignment)
-            key = canonical_key(c).digest
-            if key in seen:
-                return
-            seen.add(key)
             label = "/".join(
                 "+".join(json.dumps(s) for s in forest) or "-"
                 for forest in assignment
@@ -188,10 +201,10 @@ def multi_attachment_instances(
             yield c, f"cycle{cycle_size}:{label}"
             return
         for used in range(budget + 1):
-            for forest in _attachment_options(used):
-                yield from rec(pos + 1, budget - used, assignment + [forest])
+            for index in range(len(_attachment_options(used))):
+                yield from rec(budget - used, ranks + [(used, index)])
 
-    yield from rec(0, budget_total, [])
+    yield from rec(budget_total, [])
 
 
 def scan_multi_attachment(

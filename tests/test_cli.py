@@ -76,6 +76,14 @@ def test_reduce_torus(capsys, tmp_path):
     assert out_file.exists()
 
 
+def test_reduce_above_canonicalization_bound(capsys):
+    # gmk(10, 9) has 23 vertices: the final key is the labeled fallback
+    code, out = run_cli(capsys, "reduce", "--family", "gmk:10,9", "--json")
+    assert code == 0
+    final = json.loads(out)["final"]
+    assert "labeled_key" in final and "canonical_key" not in final
+
+
 def test_reduce_cycle_unchanged(capsys):
     code, out = run_cli(capsys, "reduce", "--family", "cycle:3", "--json")
     data = json.loads(out)

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from graphchomp import complexes
 from graphchomp.canon import canonical_key
+from graphchomp.closed_forms import pseudotree_classify
 from graphchomp.complexes import (
     IllegalMoveError,
     InvalidInputError,
@@ -146,7 +147,8 @@ def test_ground_set_cap():
 
 
 def test_memoized_caches_stay_bounded(monkeypatch):
-    cached_fns = (components, graph_stats, canonical_key, _first_involution)
+    cached_fns = (components, graph_stats, canonical_key, _first_involution,
+                  pseudotree_classify)
     positions = [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 8)]
     positions += [wheel(5), erdos_renyi(6, 0.5, 1)]
     expected = {fn: [fn.__wrapped__(c) for c in positions] for fn in cached_fns}

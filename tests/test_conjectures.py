@@ -1,5 +1,9 @@
+import json
+
 import pytest
 
+from graphchomp import conjectures
+from graphchomp.canon import canonical_key
 from graphchomp.complexes import InvalidInputError, graph_stats
 from graphchomp.conjectures import (
     classify_sequence,
@@ -12,7 +16,7 @@ from graphchomp.conjectures import (
 )
 from graphchomp.closed_forms import gmk_value
 from graphchomp.engine import EngineConfig, TranspositionTable
-from graphchomp.families import cycle, gmk, path
+from graphchomp.families import cycle, gmk, graph_complex, path, rooted_trees
 
 
 def test_classify_period2():
@@ -71,12 +75,78 @@ def test_scan_tails_table_row_base():
     assert seq.classification == "two_tail_row"
 
 
+def _dedup_by_canonical_key(cycle_size, v_max):
+    """Reference generator: build every assignment in enumeration order and
+    keep the first graph of each canonical key."""
+    seen = set()
+
+    def rec(assignment, budget):
+        if len(assignment) == cycle_size:
+            if sum(1 for forest in assignment if forest) < 2:
+                return
+            edges = [(i, (i + 1) % cycle_size) for i in range(cycle_size)]
+            counter = [cycle_size]
+
+            def add(parent, subtree):
+                node = counter[0]
+                counter[0] += 1
+                edges.append((parent, node))
+                for child in subtree:
+                    add(node, child)
+
+            for pos, forest in enumerate(assignment):
+                for subtree in forest:
+                    add(pos, subtree)
+            c = graph_complex(counter[0], edges)
+            key = canonical_key(c).digest
+            if key not in seen:
+                seen.add(key)
+                label = "/".join(
+                    "+".join(json.dumps(s) for s in forest) or "-"
+                    for forest in assignment
+                )
+                yield c, f"cycle{cycle_size}:{label}"
+            return
+        for used in range(budget + 1):
+            for forest in rooted_trees(used + 1):
+                yield from rec(assignment + [forest], budget - used)
+
+    yield from rec([], v_max - cycle_size)
+
+
 def test_multi_attachment_instances_dedup():
     seen = list(multi_attachment_instances(3, 6))
     # smallest: leaf on each of two cycle vertices (v=5), then v=6 shapes
     assert all(graph_stats(c).cycle_count == 1 for c, _ in seen)
     vs = sorted(graph_stats(c).v for c, _ in seen)
     assert vs[0] == 5
+
+    def listing(instances):
+        return [(c.ground_size, sorted(c.faces), label)
+                for c, label in instances]
+
+    for cycle_size, v_max in ((3, 9), (5, 10), (7, 11), (9, 12)):
+        assert listing(multi_attachment_instances(cycle_size, v_max)) == \
+            listing(_dedup_by_canonical_key(cycle_size, v_max))
+    # above the canonicalization bound: two leaves at the seven possible
+    # distances on a 15-cycle
+    assert len(list(multi_attachment_instances(15, 17))) == 7
+
+
+def test_scan_multi_draws_every_row_from_module_generator(monkeypatch):
+    # the solver benchmark marks row boundaries by wrapping this module
+    # attribute, so every row must be drawn through it
+    drawn = []
+    original = conjectures.multi_attachment_instances
+
+    def counting(*args):
+        for c, label in original(*args):
+            drawn.append(label)
+            yield c, label
+
+    monkeypatch.setattr(conjectures, "multi_attachment_instances", counting)
+    rows = scan_multi_attachment(3, 6)
+    assert drawn and [r["instance"] for r in rows] == drawn
 
 
 def test_scan_multi_smallest_cases():
