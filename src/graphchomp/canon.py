@@ -121,8 +121,12 @@ def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
     return dict(zip(verts, colors))
 
 
-def canonical_order(c: SimplicialComplex) -> list[int]:
-    """Vertex ordering realizing the canonical (minimal) face list."""
+def canonical_order(c: SimplicialComplex) -> tuple[int, ...]:
+    """The canonical face list of c, relabeled onto 0..n-1 and sorted by mask.
+
+    The relabeling is the vertex ordering whose sorted face list is
+    lexicographically least.
+    """
     verts = sorted(c.vertices())
     n = len(verts)
     faces = sorted(_dense_faces(c, verts))
@@ -130,7 +134,7 @@ def canonical_order(c: SimplicialComplex) -> list[int]:
     fmembers = [vertices_of(f) for f in faces]
     refine = _refiner(n, fmembers)
 
-    best: list = [None, None]
+    best = None
 
     def encode(order):
         pos = [0] * n
@@ -157,6 +161,7 @@ def canonical_order(c: SimplicialComplex) -> list[int]:
         return True
 
     def descend(colors: list[int]):
+        nonlocal best
         cells: dict[int, list[int]] = {}
         for v in range(n):
             cells.setdefault(colors[v], []).append(v)
@@ -166,10 +171,9 @@ def canonical_order(c: SimplicialComplex) -> list[int]:
                 target = cells[col]
                 break
         if target is None:
-            order = sorted(range(n), key=colors.__getitem__)
-            enc = encode(order)
-            if best[0] is None or enc < best[0]:
-                best[0], best[1] = enc, order
+            enc = encode(sorted(range(n), key=colors.__getitem__))
+            if best is None or enc < best:
+                best = enc
             return
         choices = target[:1] if interchangeable(target) else target
         for v in choices:
@@ -178,7 +182,7 @@ def canonical_order(c: SimplicialComplex) -> list[int]:
             descend(refine([ranking[s] for s in branched]))
 
     descend(refine([0] * n))
-    return [verts[v] for v in best[1]]
+    return best
 
 
 @memoize
@@ -213,10 +217,7 @@ def canonical_key(c: SimplicialComplex) -> CanonicalKey:
             canon_faces.extend(f << offset for f in faces)
             offset += max(f.bit_length() for f in faces)
     else:
-        pos = {v: i for i, v in enumerate(canonical_order(c))}
-        canon_faces = [
-            mask_of(pos[u] for u in vertices_of(f)) for f in c.faces
-        ]
+        canon_faces = list(canonical_order(c))
     canon_faces.sort(key=lambda m: (face_size(m), m))
     return CanonicalKey(_encode(tuple(canon_faces), exact=True), tuple(canon_faces))
 

@@ -85,11 +85,11 @@ def _cache_path(args) -> Optional[str]:
     return os.environ.get("CHOMP_CACHE")
 
 
-def _open_table(args, cfg: EngineConfig) -> tuple[TranspositionTable, Optional[str]]:
+def _open_table(args) -> tuple[TranspositionTable, Optional[str]]:
     path = _cache_path(args)
     if path and os.path.exists(path):
-        return TranspositionTable.load(path, cfg.memo_capacity), path
-    return TranspositionTable(cfg.memo_capacity), path
+        return TranspositionTable.load(path), path
+    return TranspositionTable(), path
 
 
 def _load_position(args) -> SimplicialComplex:
@@ -114,7 +114,7 @@ def _oracle_solve(c: SimplicialComplex, budget: int) -> tuple[int, Optional[int]
 def cmd_solve(args) -> int:
     c = _load_position(args)
     cfg = _config_from(args)
-    table, cache_path = _open_table(args, cfg)
+    table, cache_path = _open_table(args)
     if args.oracle:
         budget = args.budget if args.budget else DEFAULT_ORACLE_BUDGET
         value, move = _oracle_solve(c, budget)
@@ -219,7 +219,7 @@ def _verify_cases(args):
 
 def cmd_verify(args) -> int:
     cfg = _config_from(args)
-    table, cache_path = _open_table(args, cfg)
+    table, cache_path = _open_table(args)
     failures = []
     checked = 0
     oracle_memo: dict = {}
@@ -324,7 +324,7 @@ def _parse_move(line: str, c: SimplicialComplex) -> int:
 def cmd_play(args) -> int:
     c = _load_position(args)
     cfg = _config_from(args)
-    table = TranspositionTable(cfg.memo_capacity)
+    table = TranspositionTable()
     transcript = []
     human_turn = not args.solver_first
     print("enter a face as a space-separated vertex list; "
@@ -365,7 +365,7 @@ def cmd_play(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _config_from(args)
-    table, cache_path = _open_table(args, cfg)
+    table, cache_path = _open_table(args)
     done_ids = set()
     prior_rows = []
     if args.resume and args.out and os.path.exists(args.out):
@@ -420,7 +420,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget for the search")
+                   help="node budget for the search (reduce: reduction "
+                   "steps, default 64)")
 
 
 def build_parser() -> argparse.ArgumentParser:

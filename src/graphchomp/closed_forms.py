@@ -7,6 +7,7 @@ fast paths; bounds never do.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,6 +18,7 @@ from .complexes import (
     adjacency,
     graph_stats,
     is_graph,
+    mask_of,
     memoize,
 )
 from .symmetry import is_simplest_form
@@ -83,41 +85,19 @@ def even_cycle_pseudotree_value(v: int) -> FormulaResult:
 def npartite_parts(c: SimplicialComplex) -> Optional[list[int]]:
     """Part sizes if the graph is complete multipartite, else None.
 
-    A graph is complete multipartite iff the components of its complement
-    are cliques (the parts).
+    Groups vertices by their closed non-neighbourhood (the vertex and every
+    vertex it is not adjacent to).  The graph is complete multipartite
+    exactly when each group equals its key: the groups are then the parts.
     """
     if not is_graph(c) or not c.faces:
         return None
     adj = adjacency(c)
-    verts = sorted(adj)
-    comp_of = {}
-    parts = []
-    for start in verts:
-        if start in comp_of:
-            continue
-        group = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in verts:
-                if w not in group and w not in adj[u] and w != u:
-                    if w in comp_of:
-                        return None
-                    group.add(w)
-                    stack.append(w)
-        for u in group:
-            comp_of[u] = len(parts)
-        parts.append(group)
-    for group in parts:
-        for u in group:
-            for w in group:
-                if u != w and w in adj[u]:
-                    return None  # complement component is not a clique
-        for u in group:
-            for w in verts:
-                if w not in group and w not in adj[u]:
-                    return None
-    return sorted(len(g) for g in parts)
+    verts = frozenset(adj)
+    groups = Counter(verts - ns for ns in adj.values())
+    # a vertex lies in its own key, so a group is a subset of its key
+    if any(len(key) != size for key, size in groups.items()):
+        return None
+    return sorted(groups.values())
 
 
 # --- pseudotree shapes ------------------------------------------------------
@@ -131,11 +111,32 @@ class PseudotreeShape:
     is_hairball: bool
     odd_cycle: bool
     v: int
+    # (A, B) when exactly one cycle vertex A has degree 3, with tree
+    # neighbour B, and every other cycle vertex has degree 2
+    single_attachment: Optional[tuple[int, int]]
+    # sorted lengths of B's two branches when B has two and both are paths
+    branch_lengths: Optional[tuple[int, int]]
+
+
+def _path_length(adj: dict[int, set[int]], prev: int, cur: int) -> Optional[int]:
+    """Vertex count of the path entered from prev at cur, or None on a fork."""
+    length = 1
+    while True:
+        nxt = adj[cur] - {prev}
+        if not nxt:
+            return length
+        if len(nxt) > 1:
+            return None
+        prev, cur = cur, next(iter(nxt))
+        length += 1
 
 
 @memoize
 def pseudotree_classify(c: SimplicialComplex) -> Optional[PseudotreeShape]:
-    """Shape of a connected single-cycle graph, or None."""
+    """Shape of a connected single-cycle graph, or None.
+
+    The only walk over a pseudotree: every pseudotree rule reads its shape.
+    """
     if not is_graph(c) or not c.faces:
         return None
     stats = graph_stats(c)
@@ -181,20 +182,20 @@ def pseudotree_classify(c: SimplicialComplex) -> Optional[PseudotreeShape]:
     if hairball:
         tails = {}
         for a in cycle:
-            lengths = []
-            for w in adj[a]:
-                if w in core_set:
-                    continue
-                length, prev_v, cur_v = 1, a, w
-                while True:
-                    nxt = [x for x in adj[cur_v] if x != prev_v]
-                    if not nxt:
-                        break
-                    prev_v, cur_v = cur_v, nxt[0]
-                    length += 1
-                lengths.append(length)
+            lengths = sorted(_path_length(adj, a, w) for w in adj[a] - core_set)
             if lengths:
-                tails[a] = tuple(sorted(lengths))
+                tails[a] = tuple(lengths)
+
+    single = branches = None
+    heavy = [a for a in cycle if len(adj[a]) > 2]
+    if len(heavy) == 1 and len(adj[heavy[0]]) == 3:
+        a = heavy[0]
+        (b,) = adj[a] - core_set
+        single = (a, b)
+        if len(adj[b]) == 3:
+            lengths = [_path_length(adj, b, w) for w in adj[b] - {a}]
+            if None not in lengths:
+                branches = tuple(sorted(lengths))
 
     return PseudotreeShape(
         cycle_vertices=tuple(cycle),
@@ -203,23 +204,9 @@ def pseudotree_classify(c: SimplicialComplex) -> Optional[PseudotreeShape]:
         is_hairball=hairball,
         odd_cycle=len(cycle) % 2 == 1,
         v=stats.v,
+        single_attachment=single,
+        branch_lengths=branches,
     )
-
-
-def _single_attachment(
-    c: SimplicialComplex, shape: PseudotreeShape
-) -> Optional[tuple[int, int]]:
-    """(attachment vertex A, tree neighbor B) when exactly one cycle vertex
-    has degree 3 and the rest degree 2."""
-    heavy = [a for a, d in shape.attachment_degrees.items() if d > 2]
-    if len(heavy) != 1 or shape.attachment_degrees[heavy[0]] != 3:
-        return None
-    if any(d != 2 for a, d in shape.attachment_degrees.items() if a != heavy[0]):
-        return None
-    a = heavy[0]
-    adj = adjacency(c)
-    b = next(w for w in adj[a] if w not in shape.cycle_vertices)
-    return a, b
 
 
 def single_attachment_value(
@@ -231,16 +218,12 @@ def single_attachment_value(
     parity); only a lower bound of 4 when B has odd degree.
     """
     shape = shape if shape is not None else pseudotree_classify(c)
-    if shape is None or not shape.odd_cycle:
-        return _na()
-    ab = _single_attachment(c, shape)
-    if ab is None:
+    if shape is None or not shape.odd_cycle or shape.single_attachment is None:
         return _na()
     if not is_simplest_form(c):
         return _na()
-    _, b = ab
-    deg_b = len(adjacency(c)[b])
-    if deg_b % 2 == 1:
+    _, b = shape.single_attachment
+    if graph_stats(c).degrees[b] % 2 == 1:
         return FormulaResult(LOWER_BOUND, 4, "odd-pseudotree-single-attachment")
     value = 3 if shape.v % 2 else 0
     return FormulaResult(EXACT, value, "odd-pseudotree-single-attachment")
@@ -356,8 +339,7 @@ def theta_value(c: SimplicialComplex) -> FormulaResult:
     heavy = sorted(u for u, d in stats.degrees.items() if d != 2)
     if len(heavy) != 2 or any(stats.degrees[u] != 3 for u in heavy):
         return _na()
-    adj = adjacency(c)
-    if heavy[1] in adj[heavy[0]]:
+    if mask_of(heavy) in c.faces:
         return _na()  # branch vertices must be nonadjacent
     return FormulaResult(EXACT, 1 if stats.v % 2 else 2, "theta")
 
@@ -381,40 +363,16 @@ def engine_fast_value(
     if parts is not None:
         return complete_npartite_value(parts).value, "complete-npartite"
     shape = pseudotree_classify(c)
-    if shape is not None and shape.odd_cycle:
-        if not shape.tail_profile and shape.is_hairball:
-            return 0, "cycle"
-        ab = _single_attachment(c, shape)
-        if ab is not None and shape.is_hairball and shape.tail_profile and \
-                len(shape.tail_profile) == 1:
-            # branch vertex B carries zero tails: the lone-leaf instance
-            (lengths,) = shape.tail_profile.values()
-            if lengths == (1,):
-                return 4, "gmk-base"
-        if ab is not None:
-            _, b = ab
-            adj = adjacency(c)
-            branches = [w for w in adj[b] if w not in shape.cycle_vertices]
-            if len(branches) == 2:
-                tl = []
-                for w in branches:
-                    length, prev_v, cur_v = 1, b, w
-                    ok = True
-                    while True:
-                        nxt = [x for x in adj[cur_v] if x != prev_v]
-                        if len(nxt) > 1:
-                            ok = False
-                            break
-                        if not nxt:
-                            break
-                        prev_v, cur_v = cur_v, nxt[0]
-                        length += 1
-                    if not ok:
-                        tl = None
-                        break
-                    tl.append(length)
-                if tl is not None:
-                    return gmk_value(tl[0], tl[1]).value, "gmk-block"
+    if shape is None or not shape.odd_cycle:
+        return None
+    if shape.tail_profile == {}:  # a hairball with no tails: a bare cycle
+        return 0, "cycle"
+    if shape.tail_profile is not None and \
+            list(shape.tail_profile.values()) == [(1,)]:
+        # one leaf on the cycle: a single attachment whose B is that leaf
+        return 4, "gmk-base"
+    if shape.branch_lengths is not None:
+        return gmk_value(*shape.branch_lengths).value, "gmk-block"
     return None
 
 
@@ -427,7 +385,7 @@ def wants_simplest_certificate(
     shape = pseudotree_classify(c)
     if shape is None or not shape.odd_cycle:
         return False
-    return shape.is_hairball or _single_attachment(c, shape) is not None
+    return shape.is_hairball or shape.single_attachment is not None
 
 
 def engine_certified_value(

@@ -99,12 +99,6 @@ class SimplicialComplex:
     def vertices(self) -> tuple[int, ...]:
         return vertices_of(self.vertex_mask)
 
-    def num_faces(self) -> int:
-        return len(self.faces)
-
-    def is_empty(self) -> bool:
-        return not self.faces
-
     def has_face(self, mask: int) -> bool:
         return mask in self.faces
 
@@ -293,6 +287,10 @@ def dumps_edges(c: SimplicialComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
+# number of fields after the keyword, for the keywords that take a fixed number
+_FIELD_COUNTS = {"vertices": 1, "edge": 2, "vertex": 1}
+
+
 def loads_complex(text: str, fmt: str = "cplx") -> SimplicialComplex:
     ground_size = None
     facets = []
@@ -300,18 +298,20 @@ def loads_complex(text: str, fmt: str = "cplx") -> SimplicialComplex:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "vertices":
-            ground_size = int(parts[1])
-        elif parts[0] == "face" and fmt == "cplx":
-            facets.append(mask_of(int(p) for p in parts[1:]))
-        elif parts[0] == "edge" and fmt == "edges":
-            a, b = int(parts[1]), int(parts[2])
+        head, *fields = line.split()
+        if len(fields) != _FIELD_COUNTS.get(head, len(fields)):
+            raise InvalidInputError(f"wrong number of fields: {raw!r}")
+        if head == "vertices":
+            ground_size = int(fields[0])
+        elif head == "face" and fmt == "cplx":
+            facets.append(mask_of(int(p) for p in fields))
+        elif head == "edge" and fmt == "edges":
+            a, b = int(fields[0]), int(fields[1])
             if a == b:
                 raise InvalidInputError("self-loop edge")
             facets.append(mask_of((a, b)))
-        elif parts[0] == "vertex" and fmt == "edges":
-            facets.append(mask_of((int(parts[1]),)))
+        elif head == "vertex" and fmt == "edges":
+            facets.append(mask_of((int(fields[0]),)))
         else:
             raise InvalidInputError(f"unrecognized line: {raw!r}")
     if ground_size is None:

@@ -15,7 +15,7 @@ from .canon import canonical_key
 from .closed_forms import gmk_value, pseudotree_classify
 from .complexes import InvalidInputError, SimplicialComplex, vertices_of
 from .engine import BudgetExceededError, EngineConfig, TranspositionTable, grundy
-from .families import attach_tail, path, rooted_trees, wheel
+from .families import attach_tail, forest_pseudotree, path, rooted_trees, wheel
 from .oracle import OracleBudgetError, oracle_grundy
 from .symmetry import is_simplest_form, reduce_to_simplest
 
@@ -108,7 +108,7 @@ def scan_tails(
         raise InvalidInputError("tail scan base must be in simplest form")
 
     cfg = cfg or EngineConfig()
-    table = table if table is not None else TranspositionTable(cfg.memo_capacity)
+    table = table if table is not None else TranspositionTable()
     values: list[int] = []
     truncated = False
     for k in range(k_max + 1):
@@ -159,8 +159,6 @@ def multi_attachment_instances(
     per-vertex rank (vertices used, index among those forests); the first of
     each class is the one whose rank list is <= all of its dihedral images.
     """
-    from .families import graph_complex
-
     budget_total = v_max - cycle_size
 
     def first_of_class(ranks: list) -> bool:
@@ -170,22 +168,6 @@ def multi_attachment_instances(
             for r in (ranks, mirror) for k in range(cycle_size)
         )
 
-    def build(assignment) -> SimplicialComplex:
-        edges = [(i, (i + 1) % cycle_size) for i in range(cycle_size)]
-        counter = [cycle_size]
-
-        def add(parent, subtree):
-            node = counter[0]
-            counter[0] += 1
-            edges.append((parent, node))
-            for child in subtree:
-                add(node, child)
-
-        for pos, forest in enumerate(assignment):
-            for subtree in forest:
-                add(pos, subtree)
-        return graph_complex(counter[0], edges)
-
     def rec(budget: int, ranks: list):
         if len(ranks) == cycle_size:
             if sum(1 for used, _ in ranks if used) < 2 or \
@@ -193,7 +175,7 @@ def multi_attachment_instances(
                 return
             assignment = [_attachment_options(used)[index]
                           for used, index in ranks]
-            c = build(assignment)
+            c = forest_pseudotree(cycle_size, assignment)
             label = "/".join(
                 "+".join(json.dumps(s) for s in forest) or "-"
                 for forest in assignment
@@ -219,7 +201,7 @@ def scan_multi_attachment(
     if cycle_size % 2 == 0 or cycle_size < 3:
         raise InvalidInputError("cycle size must be odd and >= 3")
     cfg = cfg or EngineConfig()
-    table = table if table is not None else TranspositionTable(cfg.memo_capacity)
+    table = table if table is not None else TranspositionTable()
     rows = []
     for c, label in multi_attachment_instances(cycle_size, v_max):
         row = {"id": f"multi:{label}", "kind": "multi", "instance": label,
@@ -258,7 +240,7 @@ def scan_wheels(
     if n_max < 3:
         raise InvalidInputError("n_max must be >= 3")
     cfg = cfg or EngineConfig()
-    table = table if table is not None else TranspositionTable(cfg.memo_capacity)
+    table = table if table is not None else TranspositionTable()
     rows = []
     path3_key = canonical_key(reduce_to_simplest(path(3))[0]).digest
     for n in range(3, n_max + 1):

@@ -51,7 +51,6 @@ class EngineConfig:
     use_reduction: bool = True
     use_closed_forms: bool = True
     use_decomposition: bool = True
-    memo_capacity: int = 4_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -203,9 +202,9 @@ class _Solver:
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise BudgetExceededError("node budget exceeded", self.table.stats())
 
-        value = None
-        stats = graph_stats(c) if is_graph(c) else None
+        value = stats = None
         if self.cfg.use_closed_forms:
+            stats = graph_stats(c) if is_graph(c) else None
             hit = engine_fast_value(c, stats)
             if hit is not None:
                 value = hit[0]
@@ -241,7 +240,7 @@ def grundy(
     witness=False the child search is skipped entirely (value only).
     """
     cfg = cfg or EngineConfig()
-    table = table if table is not None else TranspositionTable(cfg.memo_capacity)
+    table = table if table is not None else TranspositionTable()
     solver = _Solver(cfg, table, node_budget)
     value = solver.value(c)
     witnesses: dict[int, int] = {}

@@ -307,8 +307,12 @@ def tree_shape_size(shape: tuple) -> int:
     return 1 + sum(tree_shape_size(child) for child in shape)
 
 
-def single_attachment_pseudotree(cycle_size: int, shape: tuple) -> SimplicialComplex:
-    """Odd cycle whose vertex 0 is joined to the root of the given tree shape."""
+def forest_pseudotree(
+    cycle_size: int, forests: Iterable[Iterable[tuple]]
+) -> SimplicialComplex:
+    """Cycle 0..cycle_size-1 whose vertex i is joined to the roots of the tree
+    shapes in forests[i]; tree vertices are numbered depth-first from
+    cycle_size."""
     if cycle_size < 3:
         raise InvalidInputError("cycle size must be >= 3")
     edges = [(i, (i + 1) % cycle_size) for i in range(cycle_size)]
@@ -321,15 +325,18 @@ def single_attachment_pseudotree(cycle_size: int, shape: tuple) -> SimplicialCom
         for child in subtree:
             build(node, child)
 
-    build(0, shape)
+    for pos, forest in enumerate(forests):
+        for subtree in forest:
+            build(pos, subtree)
     return graph_complex(counter[0], edges)
 
 
+def single_attachment_pseudotree(cycle_size: int, shape: tuple) -> SimplicialComplex:
+    """Odd cycle whose vertex 0 is joined to the root of the given tree shape."""
+    return forest_pseudotree(cycle_size, [(shape,)])
+
+
 # --- family spec dispatch ---------------------------------------------------
-
-
-_INT_KEYS = {"n", "m", "k", "cycle", "seed", "extra", "a", "b", "p_len", "q_len",
-             "r_len", "facets", "max_facet"}
 
 
 def parse_family(text: str) -> FamilySpec:

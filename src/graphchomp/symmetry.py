@@ -149,9 +149,8 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
         for u, tu in mapping.items():
             if u == v:
                 continue
-            e1 = mask_of((v, u)) in edges if u != v else False
-            e2 = mask_of((image, tu)) in edges if image != tu else False
-            if e1 != e2:
+            # the partial mapping is injective, so image != tu as well
+            if (mask_of((v, u)) in edges) != (mask_of((image, tu)) in edges):
                 return False
         return True
 

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps layer functions by name; a refactor that
 deletes or renames one must fail here, not only in the slower traced run."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,27 @@ def test_tracer_installs_on_every_layer_function():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_solves_reach_every_rule_and_symmetry_function():
+    # a layer function kept by name but no longer called would read 0 in
+    # the per-layer metrics; these solves must go through each of them
+    script = (
+        f"import json, sys; sys.path.insert(0, {str(SOLVERBENCH)!r})\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer().install()\n"
+        "from graphchomp import engine, families\n"
+        "for c in (families.gmk(1, 2), families.hairball(5, [[1], [2]]),\n"
+        "          families.wheel(6)):\n"
+        "    engine.grundy(c)\n"
+        "print(json.dumps({name: layer['calls'] for name, layer in\n"
+        "                  tracer.summary().items() if name[0] != '_'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    targets = {name: n for name, n in calls.items()
+               if name.startswith(("closed_forms.", "symmetry."))}
+    assert len(targets) == 5, calls
+    assert all(n > 0 for n in targets.values()), targets

@@ -58,6 +58,17 @@ def test_solve_usage_errors(capsys):
     assert main(["solve", "--input", "/nonexistent.cplx"]) == 2
 
 
+@pytest.mark.parametrize("name, text", [
+    ("pos.cplx", "vertices\nface 0 1\n"),
+    ("pos.edges", "vertices 2\nedge 1\n"),
+])
+def test_truncated_input_line_exits_2(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["solve", "--input", str(path)]) == 2
+    assert "wrong number of fields" in capsys.readouterr().err
+
+
 def test_solve_budget_exceeded(capsys):
     code = main(["solve", "--family", "erdos_renyi:8,p=0.6,seed=5",
                  "--no-closed-forms", "--no-reduction", "--budget", "3"])

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from graphchomp.closed_forms import (
     bipartite_value,
     complete_graph_value,
     complete_npartite_value,
+    engine_certified_value,
+    engine_fast_value,
     even_cycle_pseudotree_value,
     figure8_value,
     forest_value,
@@ -20,9 +24,10 @@ from graphchomp.closed_forms import (
     single_attachment_value,
     theta_value,
 )
-from graphchomp.complexes import graph_stats
+from graphchomp.complexes import graph_stats, mask_of
 from graphchomp.engine import EngineConfig, TranspositionTable, grundy
 from graphchomp.families import (
+    attach_tail,
     complete,
     complete_npartite,
     cycle,
@@ -31,10 +36,13 @@ from graphchomp.families import (
     hairball,
     path,
     random_forest,
+    random_pseudotree,
     theta,
 )
 from graphchomp.oracle import oracle_grundy
 from graphchomp.symmetry import is_simplest_form
+
+from conftest import small_graphs
 
 # Frozen reference grid for g_{m,k}, rows m = 1..12, columns k = 1..12.
 GMK_GRID = [
@@ -83,6 +91,35 @@ def test_npartite_detection():
     assert npartite_parts(path(4)) is None
     # C_4 = K_{2,2} is complete bipartite
     assert sorted(npartite_parts(cycle(4))) == [2, 2]
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        yield [[first]] + partition
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_npartite_parts_matches_definition(c):
+    # complete multipartite: some partition of the vertices into independent
+    # sets with every pair from different parts adjacent
+    def adjacent(u, w):
+        return mask_of((u, w)) in c.faces
+
+    expected = None
+    for partition in _set_partitions(list(c.vertices())):
+        part_of = {u: i for i, part in enumerate(partition) for u in part}
+        if all(adjacent(u, w) == (part_of[u] != part_of[w])
+               for u in part_of for w in part_of if u < w):
+            expected = sorted(len(part) for part in partition)
+            break
+    assert npartite_parts(c) == expected
 
 
 def test_bipartite_table():
@@ -180,6 +217,20 @@ def test_pseudotree_classify():
     assert shape5 is not None and shape5.odd_cycle
 
 
+def test_pseudotree_shape_reads_attachment_and_branches():
+    shape = pseudotree_classify(gmk(1, 2))  # A = 0, B = 3
+    assert shape.single_attachment == (0, 3)
+    assert shape.branch_lengths == (1, 2)
+    forked = pseudotree_classify(attach_tail(gmk(2, 1), 4, 1))
+    assert forked.single_attachment == (0, 3)
+    assert forked.branch_lengths is None  # B's 2-branch forks at vertex 4
+    assert pseudotree_classify(gmk(0, 0)).branch_lengths is None  # B a leaf
+    assert pseudotree_classify(hairball(3, [[1], [1]])).single_attachment \
+        is None
+    assert pseudotree_classify(hairball(3, [[1, 1]])).single_attachment \
+        is None  # A has degree 4
+
+
 def test_single_attachment_theorem_small():
     # even branch degree -> exactly 3 (v odd) / 0 (v even)
     c = hairball(3, [[1, 1]])  # two 1-tails at one cycle vertex, v=5
@@ -223,3 +274,32 @@ def test_formula_kinds():
     shape = pseudotree_classify(c)
     res = single_attachment_value(c, shape)
     assert res.kind in (EXACT, LOWER_BOUND)
+
+
+def _odd_cycle_pseudotrees():
+    for cycle_size in (3, 5, 7):
+        for extra in range(7):
+            for seed in range(3):
+                yield random_pseudotree(cycle_size, extra, seed)
+        # the two-tail family, and a fork on one of its branch vertex B's
+        # two branches
+        yield gmk(2, 1, cycle_size)
+        yield attach_tail(gmk(2, 1, cycle_size), cycle_size + 1, 1)
+    # a third branch at B, with three distinct branch lengths so that the
+    # position stays in simplest form
+    for cycle_size in (3, 5):
+        yield attach_tail(gmk(2, 3, cycle_size), cycle_size, 1)
+
+
+def test_engine_rules_match_oracle_on_odd_cycle_pseudotrees():
+    hits = Counter()
+    for c in _odd_cycle_pseudotrees():
+        stats = graph_stats(c)
+        for rule_fn in (engine_fast_value, engine_certified_value):
+            hit = rule_fn(c, stats)
+            if hit is not None:
+                value, rule = hit
+                assert value == oracle_grundy(c), (rule, sorted(c.faces))
+                hits[rule] += 1
+    assert {"cycle", "gmk-base", "gmk-block", "hairball",
+            "odd-pseudotree-single-attachment"} <= set(hits)
