@@ -75,7 +75,7 @@ def _config_from(args) -> EngineConfig:
     return EngineConfig(
         use_reduction=not args.no_reduction,
         use_closed_forms=not args.no_closed_forms,
-        use_decomposition=not getattr(args, "no_decomposition", False),
+        use_decomposition=not args.no_decomposition,
     )
 
 
@@ -409,19 +409,25 @@ def cmd_scan(args) -> int:
     return EXIT_OK if not bad else EXIT_FAIL
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache", help="transposition table file "
-                   "(or CHOMP_CACHE env var; the flag wins)")
-    p.add_argument("--no-reduction", action="store_true")
-    p.add_argument("--no-closed-forms", action="store_true")
-    p.add_argument("--no-decomposition", action="store_true")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check or solve with the brute-force oracle")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None,
-                   help="node budget for the search (reduce: reduction "
-                   "steps, default 64)")
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Give a subcommand the shared flags it reads, and no others."""
+    if "cache" in names:
+        p.add_argument("--cache", help="transposition table file "
+                       "(or CHOMP_CACHE env var; the flag wins)")
+    if "toggles" in names:
+        p.add_argument("--no-reduction", action="store_true")
+        p.add_argument("--no-closed-forms", action="store_true")
+        p.add_argument("--no-decomposition", action="store_true")
+    if "oracle" in names:
+        p.add_argument("--oracle", action="store_true",
+                       help="cross-check or solve with the brute-force oracle")
+    if "json" in names:
+        p.add_argument("--json", action="store_true")
+    if "seed" in names:
+        p.add_argument("--seed", type=int, default=0)
+    if "budget" in names:
+        p.add_argument("--budget", type=int, default=None,
+                       help="node budget for the search")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help=".cplx or .edges file")
     p.add_argument("--family", help="family spec, e.g. complete:4 or "
                    "gmk:m=2,k=5,cycle=3")
-    _add_common(p)
+    # --seed changes nothing in a solve; acceptance criterion 11 passes it
+    _add_flags(p, "cache", "toggles", "oracle", "json", "seed", "budget")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reduce", help="iterate symmetry reduction to "
@@ -443,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--family")
     p.add_argument("--out", help="write the final position to this file")
-    _add_common(p)
+    p.add_argument("--budget", type=int, default=None,
+                   help="reduction steps (default 64)")
+    _add_flags(p, "json")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="sweep a closed-form family against "
@@ -454,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--max", type=int, default=6)
     p.add_argument("--cycle", type=int, default=3)
-    _add_common(p)
+    _add_flags(p, "cache", "toggles", "oracle", "json", "seed", "budget")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tables", help="re-emit the closed-form value tables")
@@ -462,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "block"], default="all")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.add_argument("--out")
-    _add_common(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("play", help="interactive game against the solver")
@@ -470,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--solver-first", action="store_true")
     p.add_argument("--transcript", help="save the move list to this file")
-    _add_common(p)
+    _add_flags(p, "toggles", "budget")
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("scan", help="conjecture sweeps")
@@ -484,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", type=int, default=3)
     p.add_argument("--out", help="JSONL report path")
     p.add_argument("--resume", action="store_true")
-    _add_common(p)
+    _add_flags(p, "cache", "toggles", "json", "budget")
     p.set_defaults(func=cmd_scan)
 
     return top

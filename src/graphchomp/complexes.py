@@ -20,6 +20,13 @@ _T = TypeVar("_T")
 _MISS = object()
 
 
+def bounded_store(cache: dict, key, value) -> None:
+    """cache[key] = value, emptying cache first when it holds CACHE_SIZE entries."""
+    if len(cache) >= CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
+
+
 def memoize(fn: Callable[["SimplicialComplex"], _T]) -> Callable[["SimplicialComplex"], _T]:
     """Cache fn(c) by c.faces, emptying the cache when it holds CACHE_SIZE entries.
 
@@ -34,9 +41,7 @@ def memoize(fn: Callable[["SimplicialComplex"], _T]) -> Callable[["SimplicialCom
         result = cache.get(c.faces, _MISS)
         if result is _MISS:
             result = fn(c)
-            if len(cache) >= CACHE_SIZE:
-                cache.clear()
-            cache[c.faces] = result
+            bounded_store(cache, c.faces, result)
         return result
 
     cached.cache = cache
@@ -302,6 +307,8 @@ def loads_complex(text: str, fmt: str = "cplx") -> SimplicialComplex:
         if len(fields) != _FIELD_COUNTS.get(head, len(fields)):
             raise InvalidInputError(f"wrong number of fields: {raw!r}")
         if head == "vertices":
+            if ground_size is not None:
+                raise InvalidInputError(f"second 'vertices' header: {raw!r}")
             ground_size = int(fields[0])
         elif head == "face" and fmt == "cplx":
             facets.append(mask_of(int(p) for p in fields))

@@ -3,6 +3,12 @@
 Component decomposition (xor of parts), canonical-key transposition table,
 optional symmetry reduction, and optional exact closed-form fast paths.
 Witness optimal moves are reported for the whole, undecomposed position.
+
+Inside a solve a position is an int bitmap over the root's sorted faces
+(see _Root): a move, a component and the fixed set of a reduction are bit
+operations, and a SimplicialComplex is built only for a position met for
+the first time, where a canonical key, a closed form or the involution
+search needs one.
 """
 
 from __future__ import annotations
@@ -11,10 +17,19 @@ import hashlib
 import json
 import os
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional
 
-from .canon import CanonicalKey, position_key
+from .canon import (
+    CanonicalizationBoundError,
+    CanonicalKey,
+    canonical_key,
+    labeled_key,
+    position_key,
+)
 from .closed_forms import (
     engine_certified_value,
     engine_fast_value,
@@ -22,11 +37,11 @@ from .closed_forms import (
 )
 from .complexes import (
     SimplicialComplex,
+    bounded_store,
     components,
     graph_stats,
-    is_graph,
     moves,
-    remove_face,
+    vertices_of,
 )
 from .symmetry import find_reduction
 
@@ -175,36 +190,188 @@ class GrundyRecord:
     stats: dict = field(default_factory=dict)
 
 
+def _squeeze(faces: list[int], vmask: int) -> list[int]:
+    """faces relabeled onto 0..n-1, where vmask holds their n vertices:
+    each run of absent vertices is deleted by one shift."""
+    holes = ~vmask & ((1 << vmask.bit_length()) - 1)
+    while holes:
+        top = holes.bit_length() - 1  # the highest absent vertex
+        keep = vmask & ((1 << top) - 1)
+        low = (1 << keep.bit_length()) - 1  # the vertices below the run
+        shift = top + 1 - keep.bit_length()
+        faces = [f & low | f >> shift & ~low for f in faces]
+        holes &= low
+    return faces
+
+
+class _Root:
+    """A root position's faces as bits, shared by every solve of that root.
+
+    A position reachable from the root is an int whose bit i says that
+    faces[i] is still present, so a move is `pos & survive[i]`, a
+    component is `pos` restricted to the stars of its vertices, and a fixed
+    set is `pos` without the stars of the moved vertices.  Nothing here
+    depends on the engine configuration or the table, so an interrupted
+    solve leaves only true entries behind.
+    """
+
+    def __init__(self, c: SimplicialComplex):
+        self.c = c
+        self.faces = faces = sorted(c.faces)
+        self.full = (1 << len(faces)) - 1
+        # survive[i]: the faces left after the move faces[i], on first use
+        self.survive: list[Optional[int]] = [None] * len(faces)
+        # star[v]: the faces containing the vertex v
+        self.star = star = [0] * c.ground_size
+        self.edges = self.big = 0  # faces of two, and of three or more, vertices
+        for i, f in enumerate(faces):
+            bit = 1 << i
+            verts = vertices_of(f)
+            for v in verts:
+                star[v] |= bit
+            if len(verts) == 2:
+                self.edges |= bit
+            elif len(verts) > 2:
+                self.big |= bit
+        # labeled position -> canonical digest of its densely relabeled
+        # complex, or None above the canonical bound; bounded as the
+        # analysis caches are
+        self.keys: dict[int, Optional[bytes]] = {}
+
+    def child(self, pos: int, i: int) -> int:
+        """pos after the move faces[i]."""
+        s = self.survive[i]
+        if s is None:
+            contains = self.full
+            for v in vertices_of(self.faces[i]):
+                contains &= self.star[v]
+            s = self.survive[i] = self.full ^ contains
+        return pos & s
+
+    def parts(self, pos: int) -> list[int]:
+        """Connected components of pos, by smallest vertex."""
+        faces, star = self.faces, self.star
+        edges = pos & self.edges
+        out = []
+        while pos:
+            # the lowest face is the singleton of the smallest vertex
+            verts = todo = faces[(pos & -pos).bit_length() - 1]
+            reach = 0
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                at = star[low.bit_length() - 1]
+                reach |= at
+                fresh = edges & at
+                edges ^= fresh
+                while fresh:
+                    bit = fresh & -fresh
+                    fresh ^= bit
+                    other = faces[bit.bit_length() - 1] & ~verts
+                    verts |= other
+                    todo |= other
+            part = pos & reach
+            out.append(part)
+            pos ^= part
+        return out
+
+    def members(self, pos: int) -> list[int]:
+        """The faces of pos, in root labels."""
+        faces = self.faces
+        out = []
+        while pos:
+            low = pos & -pos
+            out.append(faces[low.bit_length() - 1])
+            pos ^= low
+        return out
+
+    def complex(self, pos: int) -> SimplicialComplex:
+        """pos relabeled onto 0..n-1, in root label order."""
+        faces = self.members(pos)
+        vmask = reduce(or_, faces)
+        if vmask & (vmask + 1):
+            faces = _squeeze(faces, vmask)
+        return SimplicialComplex(vmask.bit_count(), frozenset(faces))
+
+    def labeled_digest(self, pos: int, dense: bool) -> bytes:
+        """The labeled key of pos, in dense labels or in root labels."""
+        if dense:
+            c = self.complex(pos)
+        else:
+            c = SimplicialComplex(self.c.ground_size, frozenset(self.members(pos)))
+        return labeled_key(c).digest
+
+
+_UNKNOWN = object()  # a position not yet in _Root.keys
+
+# The context of the most recent root, kept for the next solve of the same
+# root (the same position under another configuration or table).
+_last_root: Optional[_Root] = None
+
+
+def _root_context(c: SimplicialComplex) -> _Root:
+    global _last_root
+    if _last_root is None or _last_root.c != c:
+        _last_root = _Root(c)
+    return _last_root
+
+
 class _Solver:
-    def __init__(self, cfg: EngineConfig, table: TranspositionTable,
-                 node_budget: Optional[int]):
+    def __init__(self, root: _Root, cfg: EngineConfig,
+                 table: TranspositionTable, node_budget: Optional[int]):
+        self.root = root
         self.cfg = cfg
         self.table = table
         self.node_budget = node_budget
         self.nodes = 0
+        # labeled position -> value, in front of the table; its hits count
+        # as table hits, so the statistics read as if every lookup went
+        # to the table, and emptying it when full changes no statistic
+        self.memo: dict[int, int] = {}
 
-    def value(self, c: SimplicialComplex) -> int:
-        if not c.faces:
+    def value(self, pos: int) -> int:
+        if not pos:
             return 0
-        if self.cfg.use_decomposition:
-            parts = components(c)
-            if len(parts) > 1:
-                return nim_sum(self.component_value(p) for p in parts)
-            return self.component_value(parts[0])
-        return self.component_value(c)
+        if not self.cfg.use_decomposition or pos in self.memo:
+            return self.component_value(pos)
+        total = 0
+        for part in self.root.parts(pos):
+            total ^= self.component_value(part)
+        return total
 
-    def component_value(self, c: SimplicialComplex) -> int:
-        key = position_key(c)
-        cached = self.table.lookup(key.digest)
-        if cached is not None:
-            return cached
+    def component_value(self, pos: int) -> int:
+        value = self.memo.get(pos)
+        if value is not None:
+            self.table.hits += 1
+            return value
+        root = self.root
+        c = None
+        digest = root.keys.get(pos, _UNKNOWN)
+        if digest is _UNKNOWN:
+            c = root.complex(pos)
+            try:
+                digest = canonical_key(c).digest
+            except CanonicalizationBoundError:
+                digest = None
+            bounded_store(root.keys, pos, digest)
+        if digest is None:
+            # above the canonical bound the key is labeled: in dense labels
+            # for a component, in root labels for an undecomposed position,
+            # as that is never relabeled
+            digest = root.labeled_digest(pos, self.cfg.use_decomposition)
+        value = self.table.lookup(digest)
+        if value is not None:
+            bounded_store(self.memo, pos, value)
+            return value
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise BudgetExceededError("node budget exceeded", self.table.stats())
+        if c is None:
+            c = root.complex(pos)
 
-        value = stats = None
+        stats = None
         if self.cfg.use_closed_forms:
-            stats = graph_stats(c) if is_graph(c) else None
+            stats = None if pos & root.big else graph_stats(c)
             hit = engine_fast_value(c, stats)
             if hit is not None:
                 value = hit[0]
@@ -212,7 +379,11 @@ class _Solver:
         if value is None and self.cfg.use_reduction:
             reduction = find_reduction(c)
             if reduction is not None:
-                value = self.value(reduction[1])
+                verts = vertices_of(reduce(or_, root.members(pos)))
+                moved = 0
+                for a, b in reduction[0].pairs:
+                    moved |= root.star[verts[a]] | root.star[verts[b]]
+                value = self.value(pos & ~moved)
         if value is None and self.cfg.use_closed_forms and \
                 wants_simplest_certificate(c, stats):
             hit = engine_certified_value(c, stats)
@@ -220,10 +391,37 @@ class _Solver:
                 value = hit[0]
 
         if value is None:
-            value = mex(self.value(remove_face(c, s)) for s in c.faces)
+            seen = set()
+            rest = pos
+            while rest:
+                low = rest & -rest
+                seen.add(self.value(root.child(pos, low.bit_length() - 1)))
+                rest ^= low
+            value = mex(seen)
 
-        self.table.insert(key.digest, value)
+        self.table.insert(digest, value)
+        bounded_store(self.memo, pos, value)
         return value
+
+
+def _value_from_table(
+    c: SimplicialComplex, cfg: EngineConfig, table: TranspositionTable
+) -> Optional[int]:
+    """The value of c when the table already holds each of its parts.
+
+    Read from the memoized components and keys, without a root context,
+    which costs more than the whole answer for a position seen before.
+    """
+    if not c.faces:
+        return 0
+    if not table.entries:
+        return None
+    parts = components(c) if cfg.use_decomposition else [c]
+    values = [table.entries.get(position_key(p).digest) for p in parts]
+    if None in values:
+        return None
+    table.hits += len(parts)
+    return nim_sum(values)
 
 
 def grundy(
@@ -241,43 +439,25 @@ def grundy(
     """
     cfg = cfg or EngineConfig()
     table = table if table is not None else TranspositionTable()
-    solver = _Solver(cfg, table, node_budget)
-    value = solver.value(c)
+    nodes = 0
     witnesses: dict[int, int] = {}
-    if witness and full_spectrum:
-        for s in moves(c):
-            child_value = solver.value(remove_face(c, s))
-            witnesses.setdefault(child_value, s)
-    elif witness and value != 0:
-        # winning move: the first move (in the deterministic order) that
-        # hands the opponent a zero position
-        for s in moves(c):
-            if solver.value(remove_face(c, s)) == 0:
-                witnesses[0] = s
-                break
-    key = position_key(c)
-    stats = dict(table.stats(), nodes=solver.nodes)
-    return GrundyRecord(value, witnesses, key, stats)
-
-
-def classify(
-    c: SimplicialComplex,
-    cfg: Optional[EngineConfig] = None,
-    table: Optional[TranspositionTable] = None,
-    node_budget: Optional[int] = None,
-) -> str:
-    rec = grundy(c, cfg, table, node_budget)
-    return "P" if rec.value == 0 else "N"
-
-
-def optimal_move(
-    c: SimplicialComplex,
-    cfg: Optional[EngineConfig] = None,
-    table: Optional[TranspositionTable] = None,
-    node_budget: Optional[int] = None,
-) -> Optional[int]:
-    """A move to a zero-valued child for N-positions; None for P-positions."""
-    rec = grundy(c, cfg, table, node_budget)
-    if rec.value == 0:
-        return None
-    return rec.witness_moves[0]
+    value = _value_from_table(c, cfg, table)
+    if value is None or (witness and (full_spectrum or value != 0)):
+        root = _root_context(c)
+        solver = _Solver(root, cfg, table, node_budget)
+        if value is None:
+            value = solver.value(root.full)
+        if witness and (full_spectrum or value != 0):
+            for s in moves(c):
+                child = root.child(root.full, bisect_left(root.faces, s))
+                child_value = solver.value(child)
+                if full_spectrum:
+                    witnesses.setdefault(child_value, s)
+                elif child_value == 0:
+                    # winning move: the first move (in the deterministic
+                    # order) that hands the opponent a zero position
+                    witnesses[0] = s
+                    break
+        nodes = solver.nodes
+    stats = dict(table.stats(), nodes=nodes)
+    return GrundyRecord(value, witnesses, position_key(c), stats)

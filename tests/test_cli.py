@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from graphchomp.cli import main
+from graphchomp.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +67,79 @@ def test_truncated_input_line_exits_2(capsys, tmp_path, name, text):
     path.write_text(text)
     assert main(["solve", "--input", str(path)]) == 2
     assert "wrong number of fields" in capsys.readouterr().err
+
+
+def test_second_vertices_header_exits_2(capsys, tmp_path):
+    path = tmp_path / "pos.cplx"
+    path.write_text("vertices 5\nface 0 1\nvertices 3\n")
+    assert main(["solve", "--input", str(path)]) == 2
+    assert "second 'vertices' header" in capsys.readouterr().err
+
+
+# every shared flag, with a value where it takes one
+SHARED_FLAGS = {
+    "--cache": ["t.json"], "--no-reduction": [], "--no-closed-forms": [],
+    "--no-decomposition": [], "--oracle": [], "--json": [],
+    "--seed": ["1"], "--budget": ["5"],
+}
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (["solve", "--family", "path:3"], set(SHARED_FLAGS)),
+    (["reduce", "--family", "path:3"], {"--json", "--budget"}),
+    (["verify", "gmk"], set(SHARED_FLAGS)),
+    (["tables"], set()),
+    (["play", "--family", "path:3"],
+     {"--no-reduction", "--no-closed-forms", "--no-decomposition",
+      "--budget"}),
+    (["scan", "wheels"],
+     {"--cache", "--no-reduction", "--no-closed-forms", "--no-decomposition",
+      "--json", "--budget"}),
+], ids=["solve", "reduce", "verify", "tables", "play", "scan"])
+def test_subcommand_takes_only_the_flags_it_reads(argv, accepted):
+    parser = build_parser()
+    for flag, value in SHARED_FLAGS.items():
+        try:
+            parser.parse_args([*argv, flag, *value])
+            taken = True
+        except SystemExit:
+            taken = False
+        assert taken == (flag in accepted), (argv[0], flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--family", "cycle:6", "--no-reduction", "--json"],
+    ["tables", "--which", "forest", "--oracle"],
+    ["play", "--family", "path:3", "--cache", "t.json"],
+], ids=lambda argv: argv[0])
+def test_ignored_flag_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# `solve --json` output of the default configuration, statistics included:
+# how the engine represents positions must not move a single count
+PINNED_SOLVES = {
+    "erdos_renyi:7,p=0.5,seed=11":
+        '{"classification":"N","optimal_move":[0],"stats":{"hits":18,'
+        '"inserts":29,"method":"engine","misses":29,"nodes":29,"size":29},'
+        '"value":1}',
+    "wheel:7":
+        '{"classification":"N","optimal_move":[7],"stats":{"hits":3121,'
+        '"inserts":394,"method":"engine","misses":394,"nodes":394,'
+        '"size":394},"value":1}',
+    "gmk:3,4":
+        '{"classification":"N","optimal_move":[0],"stats":{"hits":0,'
+        '"inserts":3,"method":"engine","misses":3,"nodes":3,"size":3},'
+        '"value":8}',
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_SOLVES))
+def test_solve_json_pinned(capsys, family):
+    code, out = run_cli(capsys, "solve", "--family", family, "--json")
+    assert code == 0
+    assert out == PINNED_SOLVES[family] + "\n"
 
 
 def test_solve_budget_exceeded(capsys):

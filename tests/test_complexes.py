@@ -141,6 +141,13 @@ def test_cplx_rejects_unrecognized_lines():
         loads_complex("face 0 1\n", "cplx")  # missing header
 
 
+def test_second_vertices_header_refused():
+    with pytest.raises(InvalidInputError):
+        loads_complex("vertices 5\nface 0 1\nvertices 3\n")
+    with pytest.raises(InvalidInputError):
+        loads_complex("vertices 2\nvertices 2\n", "edges")
+
+
 def test_ground_set_cap():
     with pytest.raises(InvalidInputError):
         close_down([1], 65)

@@ -4,22 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphchomp import complexes, engine
 from graphchomp.complexes import SimplicialComplex, close_down, mask_of, remove_face
 from graphchomp.engine import (
     BudgetExceededError,
     EngineConfig,
     TableCapacityError,
     TranspositionTable,
-    classify,
     grundy,
     mex,
     nim_sum,
-    optimal_move,
 )
 from graphchomp.families import complete, cycle, erdos_renyi, path
 from graphchomp.oracle import oracle_grundy
 
-from conftest import small_graphs
+from conftest import small_complexes, small_graphs
 
 
 def test_mex():
@@ -151,18 +150,85 @@ def test_disjoint_union_is_xor(a, b):
     assert grundy(union).value == grundy(a).value ^ grundy(b).value
 
 
-def test_classify():
-    assert classify(complete(3)) == "P"
-    assert classify(path(3)) == "N"
-    assert classify(cycle(5)) == "P"
+def test_zero_value_is_p_position():
+    assert grundy(complete(3)).value == 0
+    assert grundy(path(3)).value != 0
+    assert grundy(cycle(5)).value == 0
 
 
-def test_optimal_move_wins():
+def test_witness_move_wins():
     c = path(3)
-    move = optimal_move(c)
-    assert move is not None
+    rec = grundy(c)
+    move = rec.witness_moves[0]
     assert grundy(remove_face(c, move)).value == 0
-    assert optimal_move(complete(3)) is None
+    assert grundy(complete(3)).witness_moves == {}
+
+
+CONFIGS = [EngineConfig(r, cf, d) for r in (False, True)
+           for cf in (False, True) for d in (False, True)]
+
+
+@given(st.one_of(small_graphs(max_vertices=5), small_complexes()))
+@settings(max_examples=40, deadline=None)
+def test_every_configuration_matches_oracle_with_winning_witness(c):
+    want = oracle_grundy(c)
+    for cfg in CONFIGS:
+        rec = grundy(c, cfg)
+        assert rec.value == want, cfg
+        if want:
+            assert oracle_grundy(remove_face(c, rec.witness_moves[0])) == 0
+        spectrum = grundy(c, cfg, full_spectrum=True).witness_moves
+        for claimed, move in spectrum.items():
+            assert oracle_grundy(remove_face(c, move)) == claimed, cfg
+
+
+def test_interleaved_roots_give_identical_records():
+    # the engine keeps the last root's context; solving the same root
+    # again, or another root and then this one, must not change any value,
+    # witness or statistic
+    a, b = erdos_renyi(7, 0.5, 11), cycle(7)
+    for cfg in CONFIGS:
+        first = grundy(a, cfg, TranspositionTable(), full_spectrum=True)
+        assert grundy(a, cfg, TranspositionTable(), full_spectrum=True) == first
+        grundy(b, cfg, TranspositionTable(), full_spectrum=True)
+        again = grundy(a, cfg, TranspositionTable(), full_spectrum=True)
+        assert again == first, cfg
+
+
+def test_context_caches_stay_bounded(monkeypatch):
+    # the key map of a root context and the memo of a solve are emptied at
+    # CACHE_SIZE entries, as the analysis caches are, and emptying them
+    # changes no value, witness or statistic; path(18) is above the
+    # canonical bound, so its long parts take labeled keys
+    cases = [(erdos_renyi(7, 0.5, 11), cfg) for cfg in CONFIGS]
+    cases += [(path(18), cfg) for cfg in CONFIGS
+              if cfg.use_decomposition or cfg.use_closed_forms]
+    expected = [grundy(c, cfg, TranspositionTable(), full_spectrum=True)
+                for c, cfg in cases]
+    monkeypatch.setattr(complexes, "CACHE_SIZE", 5)
+    for (c, cfg), want in zip(cases, expected):
+        assert grundy(c, cfg, TranspositionTable(), full_spectrum=True) == want
+        solver = engine._Solver(engine._Root(c), cfg, TranspositionTable(), None)
+        assert solver.value(solver.root.full) == want.value
+        assert len(solver.memo) <= 5 and len(solver.root.keys) <= 5, cfg
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_budget_exhaustion_leaves_no_wrong_entry(budget):
+    c = erdos_renyi(7, 0.6, 3)
+    for cfg in CONFIGS:
+        table = TranspositionTable()
+        with pytest.raises(BudgetExceededError):
+            grundy(c, cfg, table, node_budget=budget)
+        partial = dict(table.entries)
+        rec = grundy(c, cfg, table)
+        assert rec.value == oracle_grundy(c), cfg
+        complete_table = TranspositionTable()
+        fresh = grundy(c, cfg, complete_table, full_spectrum=True)
+        assert grundy(c, cfg, table, full_spectrum=True).witness_moves == \
+            fresh.witness_moves
+        # every entry of the interrupted solve is one a complete solve makes
+        assert partial.items() <= complete_table.entries.items(), cfg
 
 
 def test_budget_exceeded():
@@ -181,10 +247,24 @@ def test_shared_table_across_positions():
     assert rec.value == oracle_grundy(path(5))
 
 
+def test_known_root_counts_one_hit_per_part():
+    # a path, a triangle and a vertex: three parts, answered from the table
+    c = close_down([mask_of([0, 1]), mask_of([1, 2]), mask_of([3, 4]),
+                    mask_of([4, 5]), mask_of([3, 5]), mask_of([6])], 7)
+    for cfg, parts in ((EngineConfig(), 3),
+                       (EngineConfig(use_decomposition=False), 1)):
+        table = TranspositionTable()
+        grundy(c, cfg, table, witness=False)
+        before = table.hits
+        rec = grundy(c, cfg, table, witness=False)
+        assert rec.stats["nodes"] == 0
+        assert table.hits - before == parts
+
+
 def test_empty_position():
     empty = close_down([], 0)
     assert grundy(empty).value == 0
-    assert classify(empty) == "P"
+    assert grundy(empty).witness_moves == {}
 
 
 def test_full_spectrum_witnesses():
