@@ -17,8 +17,8 @@ from .complexes import (
     SimplicialComplex,
     components,
     face_size,
-    mask_of,
     memoize,
+    squeeze,
     vertices_of,
 )
 
@@ -46,14 +46,6 @@ def labeled_key(c: SimplicialComplex) -> CanonicalKey:
     """Relabel-sensitive fallback key (sound for memoization, less sharing)."""
     faces = tuple(sorted(c.faces))
     return CanonicalKey(_encode(faces, exact=False), faces, exact=False)
-
-
-def _dense_faces(c: SimplicialComplex, verts: list[int]) -> list[int]:
-    """Faces of c relabeled onto 0..n-1, given its n sorted vertices."""
-    if not verts or verts[-1] == len(verts) - 1:
-        return list(c.faces)
-    vidx = {v: i for i, v in enumerate(verts)}
-    return [mask_of(vidx[u] for u in vertices_of(f)) for f in c.faces]
 
 
 def _refiner(
@@ -115,8 +107,9 @@ def _refiner(
 
 def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
     """Stable vertex coloring; automorphisms preserve color classes."""
-    verts = sorted(c.vertices())
-    fmembers = [vertices_of(f) for f in _dense_faces(c, verts)]
+    vmask = c.vertex_mask
+    verts = vertices_of(vmask)
+    fmembers = [vertices_of(f) for f in squeeze(c.faces, vmask)]
     colors = _refiner(len(verts), fmembers)([0] * len(verts))
     return dict(zip(verts, colors))
 
@@ -127,9 +120,9 @@ def canonical_order(c: SimplicialComplex) -> tuple[int, ...]:
     The relabeling is the vertex ordering whose sorted face list is
     lexicographically least.
     """
-    verts = sorted(c.vertices())
-    n = len(verts)
-    faces = sorted(_dense_faces(c, verts))
+    vmask = c.vertex_mask
+    n = vmask.bit_count()
+    faces = sorted(squeeze(c.faces, vmask))
     faces_set = frozenset(faces)
     fmembers = [vertices_of(f) for f in faces]
     refine = _refiner(n, fmembers)
@@ -194,17 +187,11 @@ def canonical_key(c: SimplicialComplex) -> CanonicalKey:
     """
     if not c.faces:
         return CanonicalKey(_encode((), exact=True), ())
-    verts = sorted(c.vertices())
-    if len(verts) > DEFAULT_CANON_BOUND:
+    n = c.vertex_mask.bit_count()
+    if n > DEFAULT_CANON_BOUND:
         raise CanonicalizationBoundError(
-            f"{len(verts)} vertices exceeds canonicalization bound "
+            f"{n} vertices exceeds canonicalization bound "
             f"{DEFAULT_CANON_BOUND}"
-        )
-    if verts[-1] != len(verts) - 1:
-        # normalize away label gaps first so all shifted relabelings of the
-        # same position share one cache entry and one canonical search
-        return canonical_key(
-            SimplicialComplex(len(verts), frozenset(_dense_faces(c, verts)))
         )
     parts = components(c)
     if len(parts) > 1:

@@ -82,6 +82,7 @@ def even_cycle_pseudotree_value(v: int) -> FormulaResult:
 # --- complete multipartite detection ---------------------------------------
 
 
+@memoize
 def npartite_parts(c: SimplicialComplex) -> Optional[list[int]]:
     """Part sizes if the graph is complete multipartite, else None.
 

@@ -76,7 +76,7 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 
 
 def face_size(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,24 @@ def relabel(c: SimplicialComplex, mapping: dict[int, int], ground_size: int) -> 
     return SimplicialComplex(ground_size, faces)
 
 
-def dense_relabeling(vertex_list: Iterable[int]) -> dict[int, int]:
-    return {v: i for i, v in enumerate(sorted(vertex_list))}
+def squeeze(faces: Iterable[int], vmask: int) -> Iterable[int]:
+    """faces relabeled onto 0..n-1 in label order, where vmask holds their n
+    vertices: each run of absent vertices is deleted by one shift.  Faces
+    already on 0..n-1 are returned as given."""
+    holes = ~vmask & ((1 << vmask.bit_length()) - 1)
+    while holes:
+        top = holes.bit_length() - 1  # the highest absent vertex
+        keep = vmask & ((1 << top) - 1)
+        low = (1 << keep.bit_length()) - 1  # the vertices below the run
+        shift = top + 1 - keep.bit_length()
+        faces = [f & low | f >> shift & ~low for f in faces]
+        holes &= low
+    return faces
+
+
+def dense_complex(faces: Iterable[int], vmask: int) -> SimplicialComplex:
+    """The complex of faces, whose vertices are vmask, relabeled onto 0..n-1."""
+    return SimplicialComplex(vmask.bit_count(), frozenset(squeeze(faces, vmask)))
 
 
 @memoize
@@ -180,25 +196,12 @@ def components(c: SimplicialComplex) -> list[SimplicialComplex]:
         rest.append(merged)
         groups = rest
 
-    if len(groups) == 1:
-        nv = face_size(groups[0])
-        if groups[0] == (1 << nv) - 1 and c.ground_size == nv:
-            out = [c]
-        else:
-            mapping = dense_relabeling(vertices_of(groups[0]))
-            out = [relabel(c, mapping, nv)]
-    else:
-        out = []
-        for gm in sorted(groups, key=lambda m: m & -m):
-            mapping = dense_relabeling(vertices_of(gm))
-            out.append(SimplicialComplex(
-                face_size(gm),
-                frozenset(
-                    mask_of(mapping[v] for v in vertices_of(f))
-                    for f in c.faces if f & gm
-                ),
-            ))
-    return out
+    if groups == [(1 << c.ground_size) - 1]:
+        return [c]
+    return [
+        dense_complex([f for f in c.faces if f & gm], gm)
+        for gm in sorted(groups, key=lambda m: m & -m)
+    ]
 
 
 def is_graph(c: SimplicialComplex) -> bool:

@@ -23,13 +23,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Optional
 
-from .canon import (
-    CanonicalizationBoundError,
-    CanonicalKey,
-    canonical_key,
-    labeled_key,
-    position_key,
-)
+from .canon import CanonicalKey, position_key
 from .closed_forms import (
     engine_certified_value,
     engine_fast_value,
@@ -39,6 +33,7 @@ from .complexes import (
     SimplicialComplex,
     bounded_store,
     components,
+    dense_complex,
     graph_stats,
     moves,
     vertices_of,
@@ -190,20 +185,6 @@ class GrundyRecord:
     stats: dict = field(default_factory=dict)
 
 
-def _squeeze(faces: list[int], vmask: int) -> list[int]:
-    """faces relabeled onto 0..n-1, where vmask holds their n vertices:
-    each run of absent vertices is deleted by one shift."""
-    holes = ~vmask & ((1 << vmask.bit_length()) - 1)
-    while holes:
-        top = holes.bit_length() - 1  # the highest absent vertex
-        keep = vmask & ((1 << top) - 1)
-        low = (1 << keep.bit_length()) - 1  # the vertices below the run
-        shift = top + 1 - keep.bit_length()
-        faces = [f & low | f >> shift & ~low for f in faces]
-        holes &= low
-    return faces
-
-
 class _Root:
     """A root position's faces as bits, shared by every solve of that root.
 
@@ -233,10 +214,9 @@ class _Root:
                 self.edges |= bit
             elif len(verts) > 2:
                 self.big |= bit
-        # labeled position -> canonical digest of its densely relabeled
-        # complex, or None above the canonical bound; bounded as the
-        # analysis caches are
-        self.keys: dict[int, Optional[bytes]] = {}
+        # labeled position -> its table key, the position_key digest of its
+        # densely relabeled complex; bounded as the analysis caches are
+        self.keys: dict[int, bytes] = {}
 
     def child(self, pos: int, i: int) -> int:
         """pos after the move faces[i]."""
@@ -288,21 +268,8 @@ class _Root:
     def complex(self, pos: int) -> SimplicialComplex:
         """pos relabeled onto 0..n-1, in root label order."""
         faces = self.members(pos)
-        vmask = reduce(or_, faces)
-        if vmask & (vmask + 1):
-            faces = _squeeze(faces, vmask)
-        return SimplicialComplex(vmask.bit_count(), frozenset(faces))
+        return dense_complex(faces, reduce(or_, faces))
 
-    def labeled_digest(self, pos: int, dense: bool) -> bytes:
-        """The labeled key of pos, in dense labels or in root labels."""
-        if dense:
-            c = self.complex(pos)
-        else:
-            c = SimplicialComplex(self.c.ground_size, frozenset(self.members(pos)))
-        return labeled_key(c).digest
-
-
-_UNKNOWN = object()  # a position not yet in _Root.keys
 
 # The context of the most recent root, kept for the next solve of the same
 # root (the same position under another configuration or table).
@@ -346,19 +313,11 @@ class _Solver:
             return value
         root = self.root
         c = None
-        digest = root.keys.get(pos, _UNKNOWN)
-        if digest is _UNKNOWN:
-            c = root.complex(pos)
-            try:
-                digest = canonical_key(c).digest
-            except CanonicalizationBoundError:
-                digest = None
-            bounded_store(root.keys, pos, digest)
+        digest = root.keys.get(pos)
         if digest is None:
-            # above the canonical bound the key is labeled: in dense labels
-            # for a component, in root labels for an undecomposed position,
-            # as that is never relabeled
-            digest = root.labeled_digest(pos, self.cfg.use_decomposition)
+            c = root.complex(pos)
+            digest = position_key(c).digest
+            bounded_store(root.keys, pos, digest)
         value = self.table.lookup(digest)
         if value is not None:
             bounded_store(self.memo, pos, value)
@@ -416,11 +375,18 @@ def _value_from_table(
         return 0
     if not table.entries:
         return None
-    parts = components(c) if cfg.use_decomposition else [c]
-    values = [table.entries.get(position_key(p).digest) for p in parts]
+    if cfg.use_decomposition:
+        keys = [position_key(p) for p in components(c)]
+    else:
+        key = position_key(c)
+        if not key.exact and (vm := c.vertex_mask) & (vm + 1):
+            # a labeled key of a root with vertex gaps: key it densely
+            key = position_key(dense_complex(c.faces, vm))
+        keys = [key]
+    values = [table.entries.get(key.digest) for key in keys]
     if None in values:
         return None
-    table.hits += len(parts)
+    table.hits += len(keys)
     return nim_sum(values)
 
 

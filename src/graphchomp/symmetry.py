@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterator, Optional
 
 from .canon import refinement_colors
 from .complexes import (
     SimplicialComplex,
-    dense_relabeling,
+    dense_complex,
     face_size,
     mask_of,
     memoize,
@@ -117,14 +119,7 @@ def _fixed_subcomplex(c: SimplicialComplex, t: Involution) -> SimplicialComplex:
     """fixed_point_set for an involution already known to be valid."""
     fixed_mask = mask_of(t.fixed)
     faces = [f for f in c.faces if f & fixed_mask == f]
-    verts = set()
-    for f in faces:
-        verts.update(vertices_of(f))
-    mapping = dense_relabeling(verts)
-    return SimplicialComplex(
-        len(mapping),
-        frozenset(mask_of(mapping[v] for v in vertices_of(f)) for f in faces),
-    )
+    return dense_complex(faces, reduce(or_, faces, 0))
 
 
 def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:

@@ -42,3 +42,20 @@ def test_traced_solves_reach_every_rule_and_symmetry_function():
                if name.startswith(("closed_forms.", "symmetry."))}
     assert len(targets) == 5, calls
     assert all(n > 0 for n in targets.values()), targets
+
+
+def test_traced_solves_reach_the_component_walk():
+    # canonical keys split through complexes.components, so the per-layer
+    # complexes.components metrics of a solve with a fresh table are not 0
+    script = (
+        f"import json, sys; sys.path.insert(0, {str(SOLVERBENCH)!r})\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer().install()\n"
+        "from graphchomp import engine, families\n"
+        "engine.grundy(families.wheel(6))\n"
+        "print(tracer.summary()['complexes.components']['calls'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,7 +13,15 @@ from graphchomp.canon import (
     refinement_colors,
 )
 from graphchomp.complexes import close_down, mask_of, relabel
-from graphchomp.families import complete, cycle, path, erdos_renyi
+from graphchomp.families import (
+    complete,
+    cycle,
+    erdos_renyi,
+    path,
+    random_complex,
+    torus_3x3,
+    wheel,
+)
 
 from conftest import permutations_of, small_complexes, small_graphs
 from hypothesis import strategies as st
@@ -91,3 +102,35 @@ def test_canonical_faces_are_a_valid_relabeling():
 def test_empty_complex_key():
     c = close_down([], 0)
     assert canonical_key(c).faces == ()
+
+
+def _key_corpus():
+    """Seeded positions of the pinned digest below, each also relabeled
+    into a wider ground set, once in label order and once shuffled."""
+    rng = random.Random(20260707)
+    base = [erdos_renyi(n, p, seed) for n in range(1, 11)
+            for p in (0.3, 0.6) for seed in (1, 2)]
+    base += [random_complex(n, seed) for n in range(3, 8) for seed in (1, 2, 3)]
+    base += [torus_3x3(), path(20)] + [wheel(n) for n in range(3, 10)]
+    out = list(base)
+    for shuffle in (False, True):
+        for c in base:
+            verts = c.vertices()
+            targets = sorted(rng.sample(range(2 * len(verts) + 3), len(verts)))
+            if shuffle:
+                rng.shuffle(targets)
+            out.append(relabel(c, dict(zip(verts, targets)),
+                               2 * len(verts) + 3))
+    return out
+
+
+PINNED_KEYS = "0883fafb60286ee4d9acbb4e769b173b634de876bf887337a49213b2bae93a8f"
+
+
+def test_position_key_digests_are_pinned():
+    # table files store these digests, so they must not move
+    h = hashlib.sha256()
+    for c in _key_corpus():
+        key = position_key(c)
+        h.update(key.digest + ",".join(map(str, key.faces)).encode() + b";")
+    assert h.hexdigest() == PINNED_KEYS

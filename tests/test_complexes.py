@@ -3,13 +3,14 @@ from hypothesis import given, strategies as st
 
 from graphchomp import complexes
 from graphchomp.canon import canonical_key
-from graphchomp.closed_forms import pseudotree_classify
+from graphchomp.closed_forms import npartite_parts, pseudotree_classify
 from graphchomp.complexes import (
     IllegalMoveError,
     InvalidInputError,
     SimplicialComplex,
     close_down,
     components,
+    dense_complex,
     dumps_cplx,
     dumps_edges,
     face_size,
@@ -19,8 +20,10 @@ from graphchomp.complexes import (
     loads_complex,
     mask_of,
     moves,
+    relabel,
     remove_face,
     save_complex,
+    squeeze,
     vertices_of,
 )
 from graphchomp.families import cycle, erdos_renyi, path, wheel
@@ -84,6 +87,26 @@ def test_components_split_and_relabel():
 def test_components_connected_passthrough():
     c = close_down([mask_of([0, 1]), mask_of([1, 2])], 3)
     assert components(c) == [c]
+
+
+@st.composite
+def spread_complexes(draw):
+    """small_complexes() moved, in label order, onto vertices spread over
+    a ground set of up to 64."""
+    c = draw(small_complexes())
+    width = draw(st.integers(c.ground_size, 64))
+    targets = draw(st.lists(st.integers(0, width - 1), min_size=c.ground_size,
+                            max_size=c.ground_size, unique=True))
+    return relabel(c, dict(zip(range(c.ground_size), sorted(targets))), width)
+
+
+@given(spread_complexes())
+def test_squeeze_is_the_order_preserving_relabeling(c):
+    # reference: the dict relabeling onto 0..n-1 in label order
+    mapping = {v: i for i, v in enumerate(sorted(c.vertices()))}
+    want = relabel(c, mapping, len(mapping))
+    assert sorted(squeeze(c.faces, c.vertex_mask)) == sorted(want.faces)
+    assert dense_complex(c.faces, c.vertex_mask) == want
 
 
 @given(small_complexes())
@@ -155,7 +178,7 @@ def test_ground_set_cap():
 
 def test_memoized_caches_stay_bounded(monkeypatch):
     cached_fns = (components, graph_stats, canonical_key, _first_involution,
-                  pseudotree_classify)
+                  pseudotree_classify, npartite_parts)
     positions = [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 8)]
     positions += [wheel(5), erdos_renyi(6, 0.5, 1)]
     expected = {fn: [fn.__wrapped__(c) for c in positions] for fn in cached_fns}

@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphchomp import complexes, engine
-from graphchomp.complexes import SimplicialComplex, close_down, mask_of, remove_face
+from graphchomp.closed_forms import bipartite_value, forest_value
+from graphchomp.complexes import (
+    SimplicialComplex,
+    close_down,
+    graph_stats,
+    mask_of,
+    relabel,
+    remove_face,
+)
 from graphchomp.engine import (
     BudgetExceededError,
     EngineConfig,
@@ -15,7 +23,13 @@ from graphchomp.engine import (
     mex,
     nim_sum,
 )
-from graphchomp.families import complete, cycle, erdos_renyi, path
+from graphchomp.families import (
+    complete,
+    complete_npartite,
+    cycle,
+    erdos_renyi,
+    path,
+)
 from graphchomp.oracle import oracle_grundy
 
 from conftest import small_complexes, small_graphs
@@ -259,6 +273,32 @@ def test_known_root_counts_one_hit_per_part():
         rec = grundy(c, cfg, table, witness=False)
         assert rec.stats["nodes"] == 0
         assert table.hits - before == parts
+
+
+def test_undecomposed_positions_above_the_bound_take_dense_keys():
+    # above 16 vertices a key is labeled, in the position's dense labels,
+    # so a gapped relabeling of path(20) is answered from path(20)'s table.
+    # With every feature off the solve would visit each of the ~2^20 dense
+    # labeled positions, as the oracle does, so that configuration is left
+    # to criterion 1's small positions.
+    p20 = path(20)
+    gapped = relabel(p20, {v: 3 * v + v % 2 for v in range(20)}, 60)
+    star = complete_npartite([1, 17])
+    for cfg in CONFIGS:
+        if cfg.use_decomposition or cfg == EngineConfig(False, False, False):
+            continue
+        shared = TranspositionTable()
+        for c, table in ((p20, shared), (gapped, shared),
+                         (star, TranspositionTable())):
+            st_ = graph_stats(c)
+            want = (forest_value(st_.v, st_.component_count)
+                    if st_.cycle_count == 0 else bipartite_value(st_.v, st_.e))
+            first = grundy(c, cfg, table)
+            again = grundy(c, cfg, table)
+            assert first.value == again.value == want.value, cfg
+            assert again.stats["nodes"] == 0, cfg
+            if c is gapped:  # every key is one path(20) already stored
+                assert first.stats["nodes"] == 0, cfg
 
 
 def test_empty_position():
