@@ -1,9 +1,25 @@
 """Isomorphism-invariant canonical keys for small complexes.
 
-Iterated partition refinement over vertex colors, followed by
-individualization backtracking that picks the lexicographically minimal
-relabeled face list.  Cells whose members are pairwise interchangeable
-(every transposition inside the cell is an automorphism) branch on a single
+One colour refinement, on ordered cells, serves both the stable colouring
+(`refinement_colors`) and the canonical search (`canonical_order`).  A
+colouring is an ordered list of cells, and a vertex's colour is the index
+of its cell.  Each synchronous round splits every cell by the signature
+(colour, presence, sorted neighbour colours) for graphs, or (colour, sorted
+incident face ranks) for complexes, and orders the parts by it, so colour
+ranks, canonical faces and their digests are those of these signatures.
+A round builds no signature for a vertex in a singleton cell or in a cell
+that does not split: it groups the vertices of each non-singleton cell by
+one exact int.  For graphs that int counts a vertex's neighbours in each
+part the previous round split off, and its reverse order is the signature
+order; the first round from the uniform colouring ranks by (presence,
+degree).  For complexes it is a packed multiset of incident face ids, and
+sorted signatures order the parts of a cell only when it splits.
+
+The canonical search individualizes each vertex of the first non-singleton
+cell in turn (the cell becomes [v], rest) and keeps the lexicographically
+minimal relabeled face list over the leaves, each read off its singleton
+cells.  Cells whose members are pairwise interchangeable (every
+transposition inside the cell is an automorphism) branch on a single
 representative, which keeps cliques and co-cliques cheap.
 """
 
@@ -11,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
 
 from .complexes import (
     SimplicialComplex,
@@ -48,61 +63,155 @@ def labeled_key(c: SimplicialComplex) -> CanonicalKey:
     return CanonicalKey(_encode(faces, exact=False), faces, exact=False)
 
 
-def _refiner(
-    n: int, fmembers: list[tuple[int, ...]]
-) -> Callable[[list[int]], list[int]]:
-    """Color refinement for the complex on 0..n-1 with the given faces.
+def _refiner(n: int, fmembers: list[tuple[int, ...]]):
+    """Colour refinement for the complex on 0..n-1 with the given faces.
 
-    The returned function refines a vertex coloring until it is stable: a
-    vertex's new color ranks its old color with the multiset of colors of
-    its faces, so automorphisms preserve every color class.  For graphs the
-    face multiset reduces to whether the vertex is a face plus the multiset
-    of neighbor colors, which induces the same partition more cheaply.
+    Returns (stable, individualize, interchangeable): `stable()` refines
+    the uniform colouring; `individualize(cells, i, v)` splits v off the
+    front of cell i of a stable colouring and refines the result;
+    `interchangeable(cell)` says whether every transposition inside the
+    cell is an automorphism.  Cells are lists sorted by vertex, and rounds
+    run until none splits a cell.  For graphs the face multiset of a vertex
+    reduces to whether the vertex is a face plus the multiset of neighbour
+    colours, which induces the same partition more cheaply.
     """
-    if all(len(mem) <= 2 for mem in fmembers):
-        nbrs: list[list[int]] = [[] for _ in range(n)]
+    bit = [1 << v for v in range(n)]
+    if max(map(len, fmembers), default=0) <= 2:
+        nb = [0] * n  # neighbour bitmasks
         present = [False] * n
         for mem in fmembers:
             if len(mem) == 1:
                 present[mem[0]] = True
             else:
                 a, b = mem
-                nbrs[a].append(b)
-                nbrs[b].append(a)
+                nb[a] |= bit[b]
+                nb[b] |= bit[a]
+        degree = [row.bit_count() for row in nb]
+        width = max(degree, default=0).bit_length()  # one digit per count
+        groups: dict[int, list[int]] = {}
+        for v in range(n):
+            groups.setdefault(present[v] * n + degree[v], []).append(v)
+        first = [groups[k] for k in sorted(groups)]
 
-        def signatures(colors: list[int]) -> list[tuple]:
-            return [
-                (colors[v], present[v], *sorted(colors[u] for u in nbrs[v]))
-                for v in range(n)
-            ]
+        def splitter(cells: list[list[int]], fresh: list[int]):
+            # Two vertices of one cell had equal neighbour counts in every
+            # cell of the round before, and equal presence, so their
+            # signatures differ only in their counts in the parts the last
+            # round split off (`fresh`, in colour order; a split cell's
+            # last part follows from the others).  Of two signatures the
+            # smaller has the larger count at the first colour where they
+            # differ, so the key, one digit per fresh part, sorts the parts
+            # in reverse.
+            def split(cell: list[int]) -> list[list[int]]:
+                parts: dict[int, list[int]] = {}
+                for v in cell:
+                    row = nb[v]
+                    k = 0
+                    for m in fresh:
+                        k = k << width | (row & m).bit_count()
+                    parts.setdefault(k, []).append(v)
+                return [parts[k] for k in sorted(parts, reverse=True)]
+
+            return split
+
+        def interchangeable(cell: list[int]) -> bool:
+            # (u w) is an automorphism iff u and w have the same neighbours
+            # apart from each other; presence is constant within a cell
+            u = cell[0]
+            for w in cell[1:]:
+                pair = bit[u] | bit[w]
+                if nb[u] | pair != nb[w] | pair:
+                    return False
+            return True
     else:
-        fincident: list[list[int]] = [[] for _ in range(n)]
+        incident: list[list[int]] = [[] for _ in range(n)]
         for fi, mem in enumerate(fmembers):
             for u in mem:
-                fincident[u].append(fi)
+                incident[u].append(fi)
+        # colour i weighs power[i] in a face's member multiset, and face
+        # id j weighs 1 << vwidth * j in a vertex's incident multiset
+        fwidth = max(map(len, fmembers)).bit_length()
+        power = [1 << fwidth * i for i in range(n)]
+        vwidth = max(map(len, incident)).bit_length()
+        first = [list(range(n))]
+        faces = [sum(map(bit.__getitem__, mem)) for mem in fmembers]
+        faces_set = frozenset(faces)
 
-        def signatures(colors: list[int]) -> list[tuple]:
-            fkeys = [
-                (len(mem), *sorted(colors[u] for u in mem)) for mem in fmembers
-            ]
-            frank = {k: i for i, k in enumerate(sorted(set(fkeys)))}
-            fk = [frank[k] for k in fkeys]
-            return [
-                (colors[v], *sorted(fk[fi] for fi in fincident[v]))
-                for v in range(n)
-            ]
+        def splitter(cells: list[list[int]], fresh: list[int]):
+            colors = [0] * n
+            for i, cell in enumerate(cells):
+                for v in cell:
+                    colors[v] = i
+            # faces with equal (size, member colours) share an id
+            weight = list(map(power.__getitem__, colors))
+            ids: dict[int, int] = {}
+            fid = [ids.setdefault(sum(map(weight.__getitem__, mem)), len(ids))
+                   for mem in fmembers]
+            fweight = [1 << vwidth * i for i in fid]
+            rank: list[int] = []
 
-    def refine(colors: list[int]) -> list[int]:
-        n_colors = len(set(colors))
+            def split(cell: list[int]) -> list[list[int]]:
+                parts: dict[int, list[int]] = {}
+                for v in cell:
+                    k = sum(map(fweight.__getitem__, incident[v]))
+                    parts.setdefault(k, []).append(v)
+                if len(parts) == 1:
+                    return [cell]
+                if not rank:  # rank the ids by (size, sorted member colours)
+                    rep: dict[int, tuple[int, ...]] = {}
+                    for i, mem in zip(fid, fmembers):
+                        rep.setdefault(i, mem)
+                    rank.extend([0] * len(rep))
+                    order = sorted(rep, key=lambda i: (
+                        len(rep[i]), sorted(map(colors.__getitem__, rep[i]))))
+                    for r, i in enumerate(order):
+                        rank[i] = r
+                return sorted(parts.values(), key=lambda p: sorted(
+                    rank[fid[fi]] for fi in incident[p[0]]))
+
+            return split
+
+        def interchangeable(cell: list[int]) -> bool:
+            # transpositions with cell[0] generate all the others
+            bu = bit[cell[0]]
+            for w in cell[1:]:
+                bw = bit[w]
+                for f in faces:
+                    if bool(f & bu) != bool(f & bw):
+                        if f ^ bu ^ bw not in faces_set:
+                            return False
+            return True
+
+    def refine(cells: list[list[int]], fresh: list[int]) -> list[list[int]]:
+        """Rounds until none splits a cell.  `fresh` holds the masks of the
+        parts the previous round split off, each split cell's last part left
+        out; graph rounds read only these."""
         while True:
-            sigs = signatures(colors)
-            ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            colors = [ranking[s] for s in sigs]
-            if len(ranking) == n_colors:
-                return colors
-            n_colors = len(ranking)
+            split = splitter(cells, fresh)
+            out: list[list[int]] = []
+            fresh = []
+            for cell in cells:
+                if len(cell) > 1:
+                    parts = split(cell)
+                    if len(parts) > 1:
+                        out += parts
+                        for part in parts[:-1]:
+                            fresh.append(sum(map(bit.__getitem__, part)))
+                        continue
+                out.append(cell)
+            if not fresh:
+                return cells
+            cells = out
 
-    return refine
+    def stable() -> list[list[int]]:
+        fresh = [sum(map(bit.__getitem__, part)) for part in first[:-1]]
+        return refine(first, fresh)
+
+    def individualize(cells: list[list[int]], i: int, v: int):
+        rest = [u for u in cells[i] if u != v]
+        return refine(cells[:i] + [[v], rest] + cells[i + 1:], [bit[v]])
+
+    return stable, individualize, interchangeable
 
 
 def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
@@ -110,7 +219,11 @@ def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
     vmask = c.vertex_mask
     verts = vertices_of(vmask)
     fmembers = [vertices_of(f) for f in squeeze(c.faces, vmask)]
-    colors = _refiner(len(verts), fmembers)([0] * len(verts))
+    stable, _, _ = _refiner(len(verts), fmembers)
+    colors = [0] * len(verts)
+    for i, cell in enumerate(stable()):
+        for v in cell:
+            colors[v] = i
     return dict(zip(verts, colors))
 
 
@@ -122,59 +235,37 @@ def canonical_order(c: SimplicialComplex) -> tuple[int, ...]:
     """
     vmask = c.vertex_mask
     n = vmask.bit_count()
-    faces = sorted(squeeze(c.faces, vmask))
-    faces_set = frozenset(faces)
-    fmembers = [vertices_of(f) for f in faces]
-    refine = _refiner(n, fmembers)
+    fmembers = [vertices_of(f) for f in sorted(squeeze(c.faces, vmask))]
+    stable, individualize, interchangeable = _refiner(n, fmembers)
 
     best = None
 
-    def encode(order):
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        out = []
-        for mem in fmembers:
-            m = 0
-            for u in mem:
-                m |= 1 << pos[u]
-            out.append(m)
-        out.sort()
-        return tuple(out)
-
-    def interchangeable(cell) -> bool:
-        for i, u in enumerate(cell):
-            bu = 1 << u
-            for w in cell[i + 1:]:
-                bw = 1 << w
-                for f in faces:
-                    if bool(f & bu) != bool(f & bw):
-                        if f ^ bu ^ bw not in faces_set:
-                            return False
-        return True
-
-    def descend(colors: list[int]):
+    def descend(cells: list[list[int]]):
         nonlocal best
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for col in sorted(cells):
-            if len(cells[col]) > 1:
-                target = cells[col]
+        for i, target in enumerate(cells):
+            if len(target) > 1:
                 break
-        if target is None:
-            enc = encode(sorted(range(n), key=colors.__getitem__))
+        else:
+            # a discrete colouring: the cells are the vertex order
+            pos = [0] * n
+            for i, (v,) in enumerate(cells):
+                pos[v] = i
+            out = []
+            for mem in fmembers:
+                m = 0
+                for u in mem:
+                    m |= 1 << pos[u]
+                out.append(m)
+            out.sort()
+            enc = tuple(out)
             if best is None or enc < best:
                 best = enc
             return
         choices = target[:1] if interchangeable(target) else target
         for v in choices:
-            branched = [(colors[u], 0 if u == v else 1) for u in range(n)]
-            ranking = {s: i for i, s in enumerate(sorted(set(branched)))}
-            descend(refine([ranking[s] for s in branched]))
+            descend(individualize(cells, i, v))
 
-    descend(refine([0] * n))
+    descend(stable())
     return best
 
 

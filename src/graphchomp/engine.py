@@ -171,6 +171,11 @@ class TranspositionTable:
                 raise ValueError(f"cache value {v!r} is not a nim-value")
         if data.get("checksum") != _entries_checksum(entries):
             raise ValueError("cache file checksum mismatch")
+        if len(entries) > capacity:
+            raise ValueError(
+                f"cache file holds {len(entries)} entries, more than the "
+                f"table capacity {capacity}"
+            )
         table = cls(capacity)
         for k, v in entries.items():
             table.entries[bytes.fromhex(k)] = v

@@ -136,16 +136,22 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
     if len(verts) < 2:
         return
     colors = refinement_colors(c)
-    edges = {f for f in c.faces if face_size(f) == 2}
+    nb = [0] * c.ground_size  # neighbour bitmasks of the edges
+    for f in c.faces:
+        if face_size(f) == 2:
+            a, b = vertices_of(f)
+            nb[a] |= 1 << b
+            nb[b] |= 1 << a
 
     mapping: dict[int, int] = {}
 
     def consistent(v: int, image: int) -> bool:
+        nv, ni = nb[v], nb[image]
         for u, tu in mapping.items():
             if u == v:
                 continue
             # the partial mapping is injective, so image != tu as well
-            if (mask_of((v, u)) in edges) != (mask_of((image, tu)) in edges):
+            if (nv >> u & 1) != (ni >> tu & 1):
                 return False
         return True
 
@@ -162,7 +168,7 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
         for w in verts[i + 1:]:
             if w in mapping or colors[w] != colors[v]:
                 continue
-            if mask_of((v, w)) in edges:
+            if nb[v] >> w & 1:
                 continue  # swapped endpoints would fix their edge setwise
             mapping[v] = w
             mapping[w] = v

@@ -7,16 +7,26 @@ from hypothesis import given, settings
 from graphchomp.canon import (
     CanonicalizationBoundError,
     canonical_key,
+    canonical_order,
     isomorphic,
     labeled_key,
     position_key,
     refinement_colors,
 )
-from graphchomp.complexes import close_down, mask_of, relabel
+from graphchomp.complexes import (
+    SimplicialComplex,
+    close_down,
+    mask_of,
+    relabel,
+    squeeze,
+    vertices_of,
+)
 from graphchomp.families import (
     complete,
+    complete_npartite,
     cycle,
     erdos_renyi,
+    graph_complex,
     path,
     random_complex,
     torus_3x3,
@@ -134,3 +144,189 @@ def test_position_key_digests_are_pinned():
         key = position_key(c)
         h.update(key.digest + ",".join(map(str, key.faces)).encode() + b";")
     assert h.hexdigest() == PINNED_KEYS
+
+
+# The tuple-signature refinement and canonical search that the cell-based
+# ones replaced, kept as the reference whose colour ranks they must keep.
+def _reference_refiner(n, fmembers):
+    if all(len(mem) <= 2 for mem in fmembers):
+        nbrs = [[] for _ in range(n)]
+        present = [False] * n
+        for mem in fmembers:
+            if len(mem) == 1:
+                present[mem[0]] = True
+            else:
+                a, b = mem
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+
+        def signatures(colors):
+            return [
+                (colors[v], present[v], *sorted(colors[u] for u in nbrs[v]))
+                for v in range(n)
+            ]
+    else:
+        fincident = [[] for _ in range(n)]
+        for fi, mem in enumerate(fmembers):
+            for u in mem:
+                fincident[u].append(fi)
+
+        def signatures(colors):
+            fkeys = [
+                (len(mem), *sorted(colors[u] for u in mem)) for mem in fmembers
+            ]
+            frank = {k: i for i, k in enumerate(sorted(set(fkeys)))}
+            fk = [frank[k] for k in fkeys]
+            return [
+                (colors[v], *sorted(fk[fi] for fi in fincident[v]))
+                for v in range(n)
+            ]
+
+    def refine(colors):
+        n_colors = len(set(colors))
+        while True:
+            sigs = signatures(colors)
+            ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            colors = [ranking[s] for s in sigs]
+            if len(ranking) == n_colors:
+                return colors
+            n_colors = len(ranking)
+
+    return refine
+
+
+def _reference_colors(c):
+    vmask = c.vertex_mask
+    verts = vertices_of(vmask)
+    fmembers = [vertices_of(f) for f in squeeze(c.faces, vmask)]
+    colors = _reference_refiner(len(verts), fmembers)([0] * len(verts))
+    return dict(zip(verts, colors))
+
+
+def _reference_order(c):
+    vmask = c.vertex_mask
+    n = vmask.bit_count()
+    faces = sorted(squeeze(c.faces, vmask))
+    faces_set = frozenset(faces)
+    fmembers = [vertices_of(f) for f in faces]
+    refine = _reference_refiner(n, fmembers)
+
+    best = None
+
+    def encode(order):
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        out = []
+        for mem in fmembers:
+            m = 0
+            for u in mem:
+                m |= 1 << pos[u]
+            out.append(m)
+        out.sort()
+        return tuple(out)
+
+    def interchangeable(cell) -> bool:
+        for i, u in enumerate(cell):
+            bu = 1 << u
+            for w in cell[i + 1:]:
+                bw = 1 << w
+                for f in faces:
+                    if bool(f & bu) != bool(f & bw):
+                        if f ^ bu ^ bw not in faces_set:
+                            return False
+        return True
+
+    def descend(colors):
+        nonlocal best
+        cells = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        target = None
+        for col in sorted(cells):
+            if len(cells[col]) > 1:
+                target = cells[col]
+                break
+        if target is None:
+            enc = encode(sorted(range(n), key=colors.__getitem__))
+            if best is None or enc < best:
+                best = enc
+            return
+        choices = target[:1] if interchangeable(target) else target
+        for v in choices:
+            branched = [(colors[u], 0 if u == v else 1) for u in range(n)]
+            ranking = {s: i for i, s in enumerate(sorted(set(branched)))}
+            descend(refine([ranking[s] for s in branched]))
+
+    descend(refine([0] * n))
+    return best
+
+
+def _assert_matches_reference(c):
+    assert refinement_colors(c) == _reference_colors(c)
+    if c.faces:
+        assert canonical_order(c) == _reference_order(c)
+
+
+def _union(a, b):
+    shift = a.ground_size
+    return close_down(list(a.faces) + [f << shift for f in b.faces],
+                      shift + b.ground_size)
+
+
+def _symmetric_graphs():
+    petersen = graph_complex(10, [(i, (i + 1) % 5) for i in range(5)]
+                             + [(i, i + 5) for i in range(5)]
+                             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    q3, q4 = (graph_complex(1 << d, [(a, a | 1 << b) for a in range(1 << d)
+                                     for b in range(d) if not a >> b & 1])
+              for d in (3, 4))
+    rook = graph_complex(16, [
+        (a, b) for a in range(16) for b in range(a + 1, 16)
+        if a // 4 == b // 4 or a % 4 == b % 4])
+    shifts = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    shrikhande = graph_complex(16, [
+        (a, b) for a in range(16) for b in range(a + 1, 16)
+        if ((a // 4 - b // 4) % 4, (a % 4 - b % 4) % 4) in shifts])
+    # edges whose endpoints are not faces, so presence splits the cells
+    absent = SimplicialComplex(6, frozenset(
+        [0b11, 0b110, 0b1100, 0b11000, 0b110000, 0b100001, 0b1, 0b1000]))
+    return {
+        "cycle16": cycle(16), "petersen": petersen, "q4": q4, "rook4x4": rook,
+        "shrikhande": shrikhande, "k8_8": complete_npartite([8, 8]),
+        "torus": torus_3x3(), "k10": complete(10),
+        "q3x2": _union(q3, q3),
+        "cycle7x2": _union(cycle(7), cycle(7)), "absent": absent,
+        **{f"wheel{n}": wheel(n) for n in range(3, 16)},
+    }
+
+
+@pytest.mark.parametrize("name", list(_symmetric_graphs()))
+def test_refinement_matches_reference_on_symmetric_graphs(name):
+    c = _symmetric_graphs()[name]
+    _assert_matches_reference(c)
+    rng = random.Random(name)
+    verts = list(c.vertices())
+    targets = rng.sample(range(len(verts) + 4), len(verts))
+    _assert_matches_reference(
+        relabel(c, dict(zip(verts, targets)), len(verts) + 4))
+
+
+def test_refinement_matches_reference_on_random_complexes():
+    for n in range(3, 10):
+        for seed in range(12):
+            for max_facet in (3, 4):
+                _assert_matches_reference(
+                    random_complex(n, seed, facet_count=2 + seed % 5,
+                                   max_facet=max_facet))
+
+
+@given(st.one_of(small_graphs(max_vertices=8), small_complexes()).flatmap(
+    lambda c: st.tuples(st.just(c), permutations_of(c))))
+@settings(max_examples=150)
+def test_refinement_matches_reference(pair):
+    # cell-based rounds keep the colour ranks of the tuple signatures, so
+    # canonical faces (and the pinned digests) and involution order hold
+    c, mapping = pair
+    _assert_matches_reference(c)
+    _assert_matches_reference(relabel(c, mapping, c.ground_size))

@@ -78,6 +78,17 @@ def test_table_save_load(tmp_path):
     assert back.entries == t.entries
 
 
+def test_table_load_refuses_more_entries_than_capacity(tmp_path):
+    t = TranspositionTable()
+    for i in range(22):
+        t.insert(bytes([i]), i % 3)
+    p = tmp_path / "cache.json"
+    t.save(str(p))
+    with pytest.raises(ValueError, match="22 entries.*capacity 3"):
+        TranspositionTable.load(str(p), capacity=3)
+    assert len(TranspositionTable.load(str(p), capacity=22).entries) == 22
+
+
 def test_table_save_failure_keeps_previous_file(tmp_path, monkeypatch):
     p = tmp_path / "cache.json"
     old = TranspositionTable()
