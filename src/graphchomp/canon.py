@@ -21,17 +21,24 @@ minimal relabeled face list over the leaves, each read off its singleton
 cells.  Cells whose members are pairwise interchangeable (every
 transposition inside the cell is an automorphism) branch on a single
 representative, which keeps cliques and co-cliques cheap.
+
+Keys are computed on dense views: a connected position's faces relabeled
+onto 0..n-1 in label order and sorted.  `view_keys` memoizes them by the
+view; the key of a view carries the stable colouring its search started
+from, for the involution search of the same position.  A disjoint union
+is keyed from its parts' keys (`union_key`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .complexes import (
     SimplicialComplex,
+    bounded_store,
     components,
-    face_size,
     memoize,
     squeeze,
     vertices_of,
@@ -46,14 +53,18 @@ class CanonicalizationBoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class CanonicalKey:
+    """A table key.  The key of a connected position, computed from its
+    dense view, also carries the view's stable colouring: vertex v has
+    colour colors[v].  The colouring takes no part in equality."""
     digest: bytes
     faces: tuple[int, ...]
     exact: bool = True
+    colors: Optional[bytes] = field(default=None, compare=False, repr=False)
 
 
 def _encode(faces: tuple[int, ...], exact: bool) -> bytes:
     tag = b"canon:" if exact else b"label:"
-    body = ",".join(format(f, "x") for f in faces).encode()
+    body = ("%x," * len(faces) % faces)[:-1].encode()  # hex, comma-separated
     return hashlib.sha256(tag + body).digest()
 
 
@@ -227,15 +238,26 @@ def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
     return dict(zip(verts, colors))
 
 
-def canonical_order(c: SimplicialComplex) -> tuple[int, ...]:
+def dense_view(c: SimplicialComplex) -> tuple[int, ...]:
+    """The faces of c relabeled onto 0..n-1 in label order (complexes.squeeze),
+    sorted: the form in which canonical_order and position_key also take a
+    position."""
+    return tuple(sorted(squeeze(c.faces, c.vertex_mask)))
+
+
+def canonical_order(
+    c: SimplicialComplex | tuple[int, ...], colors: Optional[bytearray] = None
+) -> tuple[int, ...]:
     """The canonical face list of c, relabeled onto 0..n-1 and sorted by mask.
 
-    The relabeling is the vertex ordering whose sorted face list is
-    lexicographically least.
+    c is a complex or its dense view.  The relabeling is the vertex ordering
+    whose sorted face list is lexicographically least.  A bytearray of n
+    zeros passed as colors receives the stable colouring the search starts
+    from, in the view's labels.
     """
-    vmask = c.vertex_mask
-    n = vmask.bit_count()
-    fmembers = [vertices_of(f) for f in sorted(squeeze(c.faces, vmask))]
+    view = c if type(c) is tuple else dense_view(c)
+    n = view[-1].bit_length() if view else 0
+    fmembers = [vertices_of(f) for f in view]
     stable, individualize, interchangeable = _refiner(n, fmembers)
 
     best = None
@@ -265,8 +287,47 @@ def canonical_order(c: SimplicialComplex) -> tuple[int, ...]:
         for v in choices:
             descend(individualize(cells, i, v))
 
-    descend(stable())
+    cells = stable()
+    if colors is not None:
+        for i, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = i
+    descend(cells)
     return best
+
+
+# dense view of a connected position -> its canonical key; bounded as the
+# analysis caches are, and holding no complex
+view_keys: dict[tuple[int, ...], CanonicalKey] = {}
+
+
+def _view_key(view: tuple[int, ...]) -> CanonicalKey:
+    """The canonical key of a connected position, given as its dense view."""
+    key = view_keys.get(view)
+    if key is None:
+        colors = bytearray(view[-1].bit_length())
+        # the canonical faces come sorted by mask, so a stable sort by size
+        # puts them in (size, mask) order
+        faces = tuple(sorted(canonical_order(view, colors), key=int.bit_count))
+        key = CanonicalKey(_encode(faces, exact=True), faces,
+                           colors=bytes(colors))
+        bounded_store(view_keys, view, key)
+    return key
+
+
+def union_key(keys: list[CanonicalKey]) -> CanonicalKey:
+    """The canonical key of a disjoint union, from the canonical keys of its
+    connected parts: the sorted multiset of their canonical forms,
+    re-offset into one ground set."""
+    canon_faces = []
+    offset = 0
+    for faces in sorted(key.faces for key in keys):
+        canon_faces.extend(f << offset for f in faces)
+        offset += max(f.bit_length() for f in faces)
+    canon_faces.sort()
+    canon_faces.sort(key=int.bit_count)
+    faces = tuple(canon_faces)
+    return CanonicalKey(_encode(faces, exact=True), faces)
 
 
 @memoize
@@ -286,22 +347,22 @@ def canonical_key(c: SimplicialComplex) -> CanonicalKey:
         )
     parts = components(c)
     if len(parts) > 1:
-        # canonical form of a disjoint union: the sorted multiset of the
-        # components' canonical forms, re-offset into one ground set
-        part_faces = sorted(canonical_key(p).faces for p in parts)
-        canon_faces = []
-        offset = 0
-        for faces in part_faces:
-            canon_faces.extend(f << offset for f in faces)
-            offset += max(f.bit_length() for f in faces)
-    else:
-        canon_faces = list(canonical_order(c))
-    canon_faces.sort(key=lambda m: (face_size(m), m))
-    return CanonicalKey(_encode(tuple(canon_faces), exact=True), tuple(canon_faces))
+        return union_key([canonical_key(p) for p in parts])
+    return _view_key(dense_view(c))
 
 
-def position_key(c: SimplicialComplex) -> CanonicalKey:
-    """Canonical key when within DEFAULT_CANON_BOUND, else the labeled fallback."""
+def position_key(c: SimplicialComplex | tuple[int, ...]) -> CanonicalKey:
+    """Canonical key when within DEFAULT_CANON_BOUND vertices, else the
+    labeled fallback.
+
+    c is a complex, or the dense view of a nonempty position that is
+    connected or has more than DEFAULT_CANON_BOUND vertices; the labeled
+    key of a view is in the view's labels.
+    """
+    if type(c) is tuple:
+        if c[-1].bit_length() > DEFAULT_CANON_BOUND:
+            return CanonicalKey(_encode(c, exact=False), c, exact=False)
+        return _view_key(c)
     try:
         return canonical_key(c)
     except CanonicalizationBoundError:

@@ -27,20 +27,22 @@ def bounded_store(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-def memoize(fn: Callable[["SimplicialComplex"], _T]) -> Callable[["SimplicialComplex"], _T]:
-    """Cache fn(c) by c.faces, emptying the cache when it holds CACHE_SIZE entries.
+def memoize(fn: Callable[..., _T]) -> Callable[..., _T]:
+    """Cache fn(c, *hints) by c.faces, emptying the cache when it holds
+    CACHE_SIZE entries.
 
     Keyed on the face set, which is all the cached analyses read, rather than
-    on the complex, so the cache keeps no complex alive.  A call that raises
-    stores nothing.
+    on the complex, so the cache keeps no complex alive.  Further arguments
+    may only be facts about c that save fn work, never change its result.
+    A call that raises stores nothing.
     """
     cache: dict[frozenset[int], _T] = {}
 
     @wraps(fn)
-    def cached(c: "SimplicialComplex") -> _T:
+    def cached(c: "SimplicialComplex", *hints) -> _T:
         result = cache.get(c.faces, _MISS)
         if result is _MISS:
-            result = fn(c)
+            result = fn(c, *hints)
             bounded_store(cache, c.faces, result)
         return result
 

@@ -6,9 +6,12 @@ Witness optimal moves are reported for the whole, undecomposed position.
 
 Inside a solve a position is an int bitmap over the root's sorted faces
 (see _Root): a move, a component and the fixed set of a reduction are bit
-operations, and a SimplicialComplex is built only for a position met for
-the first time, where a canonical key, a closed form or the involution
-search needs one.
+operations.  A position met for the first time is keyed from its dense
+view, its faces relabeled onto 0..n-1 straight from the bitmaps, and a
+SimplicialComplex is built only when the table does not know the key,
+where a closed form or the involution search needs one.  The canonical
+search leaves the view's stable colouring on the key, and the involution
+search of the same node starts from it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Optional
 
-from .canon import CanonicalKey, position_key
+from .canon import DEFAULT_CANON_BOUND, CanonicalKey, position_key, union_key
 from .closed_forms import (
     engine_certified_value,
     engine_fast_value,
@@ -36,6 +39,7 @@ from .complexes import (
     dense_complex,
     graph_stats,
     moves,
+    squeeze,
     vertices_of,
 )
 from .symmetry import find_reduction
@@ -196,9 +200,10 @@ class _Root:
     A position reachable from the root is an int whose bit i says that
     faces[i] is still present, so a move is `pos & survive[i]`, a
     component is `pos` restricted to the stars of its vertices, and a fixed
-    set is `pos` without the stars of the moved vertices.  Nothing here
-    depends on the engine configuration or the table, so an interrupted
-    solve leaves only true entries behind.
+    set is `pos` without the stars of the moved vertices.  Its dense view,
+    the form in which it is keyed, is its faces squeezed onto 0..n-1.
+    Nothing here depends on the engine configuration or the table, so an
+    interrupted solve leaves only true entries behind.
     """
 
     def __init__(self, c: SimplicialComplex):
@@ -270,10 +275,13 @@ class _Root:
             pos ^= low
         return out
 
-    def complex(self, pos: int) -> SimplicialComplex:
-        """pos relabeled onto 0..n-1, in root label order."""
+    def view(self, pos: int) -> tuple[tuple[int, ...], int]:
+        """The dense view of pos, its faces relabeled onto 0..n-1 in root
+        label order, and the mask of its root vertices.  Squeezing keeps
+        the order of the sorted faces, so the view is sorted too."""
         faces = self.members(pos)
-        return dense_complex(faces, reduce(or_, faces))
+        vmask = reduce(or_, faces)
+        return tuple(squeeze(faces, vmask)), vmask
 
 
 # The context of the most recent root, kept for the next solve of the same
@@ -311,17 +319,30 @@ class _Solver:
             total ^= self.component_value(part)
         return total
 
+    def key(self, pos: int, view: tuple[int, ...]) -> CanonicalKey:
+        """The table key of pos, whose dense view is view.  Only with
+        decomposition off can pos be disconnected; within the canonical
+        bound its key is then the union of its parts' keys."""
+        if not self.cfg.use_decomposition and \
+                view[-1].bit_length() <= DEFAULT_CANON_BOUND:
+            parts = self.root.parts(pos)
+            if len(parts) > 1:
+                return union_key(
+                    [position_key(self.root.view(p)[0]) for p in parts])
+        return position_key(view)
+
     def component_value(self, pos: int) -> int:
         value = self.memo.get(pos)
         if value is not None:
             self.table.hits += 1
             return value
         root = self.root
-        c = None
+        view = colors = None
         digest = root.keys.get(pos)
         if digest is None:
-            c = root.complex(pos)
-            digest = position_key(c).digest
+            view, vmask = root.view(pos)
+            key = self.key(pos, view)
+            digest, colors = key.digest, key.colors
             bounded_store(root.keys, pos, digest)
         value = self.table.lookup(digest)
         if value is not None:
@@ -330,8 +351,9 @@ class _Solver:
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise BudgetExceededError("node budget exceeded", self.table.stats())
-        if c is None:
-            c = root.complex(pos)
+        if view is None:
+            view, vmask = root.view(pos)
+        c = SimplicialComplex(vmask.bit_count(), frozenset(view))
 
         stats = None
         if self.cfg.use_closed_forms:
@@ -341,9 +363,9 @@ class _Solver:
                 value = hit[0]
 
         if value is None and self.cfg.use_reduction:
-            reduction = find_reduction(c)
+            reduction = find_reduction(c, colors)
             if reduction is not None:
-                verts = vertices_of(reduce(or_, root.members(pos)))
+                verts = vertices_of(vmask)
                 moved = 0
                 for a, b in reduction[0].pairs:
                     moved |= root.star[verts[a]] | root.star[verts[b]]

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .canon import refinement_colors
 from .complexes import (
@@ -122,26 +122,39 @@ def _fixed_subcomplex(c: SimplicialComplex, t: Involution) -> SimplicialComplex:
     return dense_complex(faces, reduce(or_, faces, 0))
 
 
-def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
+def _valid_involutions(
+    c: SimplicialComplex, colors: Optional[Sequence[int]] = None
+) -> Iterator[Involution]:
     """All valid non-identity involutions, via backtracking over color classes.
 
     Order: each vertex in ascending label order tries every unassigned
     partner of its own refinement color in ascending order, and being fixed
     last.  Refinement colors are automorphism-invariant, so no other image
     is possible; pairing two adjacent vertices is pruned immediately (their
-    shared edge would be setwise fixed).  Each complete candidate is yielded
-    only if validate_involution accepts it.
+    shared edge would be setwise fixed).  colors, when given, is that
+    colouring (vertex v has colour colors[v]).
+
+    On a graph every complete candidate is valid: colours keep presence, so
+    singletons map to singletons; `consistent` checks adjacency for every
+    assigned pair, so edges map to edges; and no edge has its endpoints
+    swapped, so every setwise-fixed face is pointwise fixed.  Other
+    candidates are yielded only if validate_involution accepts them.
     """
     verts = sorted(c.vertices())
     if len(verts) < 2:
         return
-    colors = refinement_colors(c)
+    if colors is None:
+        colors = refinement_colors(c)
     nb = [0] * c.ground_size  # neighbour bitmasks of the edges
+    graph = True
     for f in c.faces:
-        if face_size(f) == 2:
+        size = face_size(f)
+        if size == 2:
             a, b = vertices_of(f)
             nb[a] |= 1 << b
             nb[b] |= 1 << a
+        elif size > 2:
+            graph = False
 
     mapping: dict[int, int] = {}
 
@@ -158,7 +171,8 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
     def backtrack(i: int) -> Iterator[Involution]:
         if i == len(verts):
             t = Involution.from_mapping(mapping)
-            if not t.is_identity() and validate_involution(c, mapping)[0]:
+            if not t.is_identity() and (
+                    graph or validate_involution(c, mapping)[0]):
                 yield t
             return
         v = verts[i]
@@ -185,17 +199,20 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
 
 
 @memoize
-def _first_involution(c: SimplicialComplex) -> Optional[Involution]:
+def _first_involution(
+    c: SimplicialComplex, colors: Optional[Sequence[int]] = None
+) -> Optional[Involution]:
     """The first valid involution in _valid_involutions order, or None."""
-    return next(_valid_involutions(c), None)
+    return next(_valid_involutions(c, colors), None)
 
 
 def find_reduction(
-    c: SimplicialComplex,
+    c: SimplicialComplex, colors: Optional[Sequence[int]] = None
 ) -> Optional[tuple[Involution, SimplicialComplex]]:
     """The first valid involution (see _valid_involutions) and its fixed set,
-    or None when c is in simplest form."""
-    t = _first_involution(c)
+    or None when c is in simplest form.  colors, when given, is the stable
+    refinement colouring of c, which the search then need not compute."""
+    t = _first_involution(c, colors)
     return None if t is None else (t, _fixed_subcomplex(c, t))
 
 

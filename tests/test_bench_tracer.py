@@ -59,3 +59,23 @@ def test_traced_solves_reach_the_component_walk():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
+
+
+def test_traced_engine_keys_go_through_position_key():
+    # every table miss is a position keyed once, through canon.position_key,
+    # so a tracer that wraps that name sees at least as many calls
+    script = (
+        f"import json, sys; sys.path.insert(0, {str(SOLVERBENCH)!r})\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer().install()\n"
+        "from graphchomp import engine, families\n"
+        "table = engine.TranspositionTable()\n"
+        "engine.grundy(families.erdos_renyi(7, 0.5, 11), table=table)\n"
+        "print(json.dumps([tracer.summary()['canon.position_key']['calls'],\n"
+        "                  table.misses]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    calls, misses = json.loads(proc.stdout)
+    assert misses > 0 and calls >= misses, (calls, misses)

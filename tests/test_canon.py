@@ -8,6 +8,7 @@ from graphchomp.canon import (
     CanonicalizationBoundError,
     canonical_key,
     canonical_order,
+    dense_view,
     isomorphic,
     labeled_key,
     position_key,
@@ -16,6 +17,7 @@ from graphchomp.canon import (
 from graphchomp.complexes import (
     SimplicialComplex,
     close_down,
+    components,
     mask_of,
     relabel,
     squeeze,
@@ -330,3 +332,20 @@ def test_refinement_matches_reference(pair):
     c, mapping = pair
     _assert_matches_reference(c)
     _assert_matches_reference(relabel(c, mapping, c.ground_size))
+
+
+@given(st.one_of(small_graphs(max_vertices=8), small_complexes()).flatmap(
+    lambda c: st.tuples(st.just(c), permutations_of(c))))
+@settings(max_examples=150)
+def test_views_key_like_their_complexes(pair):
+    # a dense view orders and keys as its complex does, and the colouring
+    # its search leaves behind is refinement_colors in the view's labels
+    c, mapping = pair
+    c = relabel(c, mapping, c.ground_size + 2)
+    view = dense_view(c)
+    colors = bytearray(len(c.vertices()))
+    assert canonical_order(view, colors) == canonical_order(c)
+    assert list(colors) == list(refinement_colors(c).values())
+    if len(components(c)) == 1:
+        key = position_key(view)
+        assert key == position_key(c) and key.colors == colors

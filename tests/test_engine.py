@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphchomp import complexes, engine
+from graphchomp import canon, complexes, engine
 from graphchomp.closed_forms import bipartite_value, forest_value
 from graphchomp.complexes import (
     SimplicialComplex,
@@ -29,6 +29,7 @@ from graphchomp.families import (
     cycle,
     erdos_renyi,
     path,
+    random_complex,
 )
 from graphchomp.oracle import oracle_grundy
 
@@ -221,21 +222,68 @@ def test_interleaved_roots_give_identical_records():
 
 
 def test_context_caches_stay_bounded(monkeypatch):
-    # the key map of a root context and the memo of a solve are emptied at
-    # CACHE_SIZE entries, as the analysis caches are, and emptying them
-    # changes no value, witness or statistic; path(18) is above the
-    # canonical bound, so its long parts take labeled keys
+    # the key map of a root context, the memo of a solve and canon's memo of
+    # view keys are emptied at CACHE_SIZE entries, as the analysis caches
+    # are, and emptying them changes no value, witness or statistic;
+    # path(18) is above the canonical bound, so its long parts take
+    # labeled keys
     cases = [(erdos_renyi(7, 0.5, 11), cfg) for cfg in CONFIGS]
     cases += [(path(18), cfg) for cfg in CONFIGS
               if cfg.use_decomposition or cfg.use_closed_forms]
     expected = [grundy(c, cfg, TranspositionTable(), full_spectrum=True)
                 for c, cfg in cases]
     monkeypatch.setattr(complexes, "CACHE_SIZE", 5)
+    canon.view_keys.clear()
     for (c, cfg), want in zip(cases, expected):
         assert grundy(c, cfg, TranspositionTable(), full_spectrum=True) == want
         solver = engine._Solver(engine._Root(c), cfg, TranspositionTable(), None)
         assert solver.value(solver.root.full) == want.value
         assert len(solver.memo) <= 5 and len(solver.root.keys) <= 5, cfg
+        assert len(canon.view_keys) <= 5, cfg
+
+
+def _fresh_caches():
+    for cache in (canon.view_keys, canon.canonical_key.cache,
+                  complexes.components.cache):
+        cache.clear()
+    engine._last_root = None
+
+
+def test_keyed_parts_fill_only_the_view_memo():
+    # each new connected part is keyed from its dense view: one entry in
+    # canon.view_keys, and no complex kept in components.cache; only the
+    # root itself, keyed for the record, goes through components
+    c = erdos_renyi(7, 0.5, 11)
+    _fresh_caches()
+    grundy(c, EngineConfig(), TranspositionTable(), full_spectrum=True)
+    root = engine._last_root
+    views = {root.view(pos)[0] for pos in root.keys}
+    assert len(root.keys) > 30
+    assert set(canon.view_keys) == views | {canon.dense_view(c)}
+    assert list(complexes.components.cache) == [c.faces]
+    assert list(canon.canonical_key.cache) == [c.faces]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_view_keys_equal_complex_keys(cfg):
+    # the key of every position keyed from its view, connected or (with
+    # decomposition off) a disjoint union, is the key of its complex
+    positions = [erdos_renyi(7, 0.5, 11), erdos_renyi(8, 0.3, 2),
+                 random_complex(7, 4), path(18)]
+    for c in positions:
+        if c is positions[-1] and not (cfg.use_decomposition
+                                       or cfg.use_closed_forms):
+            continue  # every labeled subset of a long path: too many nodes
+        _fresh_caches()
+        grundy(c, cfg, TranspositionTable(), full_spectrum=True)
+        root = engine._last_root
+        assert root.keys
+        for pos, digest in root.keys.items():
+            faces = root.members(pos)
+            sub = SimplicialComplex(c.ground_size, frozenset(faces))
+            want = canon.position_key(complexes.dense_complex(
+                faces, sub.vertex_mask))
+            assert digest == want.digest, (cfg, c, pos)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 40])

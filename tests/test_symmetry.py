@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphchomp.canon import isomorphic
-from graphchomp.complexes import close_down, mask_of
+from graphchomp.complexes import SimplicialComplex, close_down, mask_of
 from graphchomp.families import (
     complete,
     cycle,
@@ -91,6 +91,45 @@ def test_one_search_answers_reduction_and_simplest_form(c):
         assert t == first
         assert fixed.faces == fixed_point_set(c, t).faces
     assert is_simplest_form(c) == (found is None)
+
+
+@st.composite
+def graphs_with_bare_endpoints(draw):
+    """A small graph with some of its vertex singletons removed, so that
+    some edges have endpoints that are not faces."""
+    c = draw(small_graphs())
+    bare = draw(st.sets(st.sampled_from(c.vertices())))
+    faces = frozenset(f for f in c.faces if f not in {1 << v for v in bare})
+    return SimplicialComplex(c.ground_size, faces or frozenset([1]))
+
+
+def _involutions(verts):
+    """Every involution of verts, as a mapping, the identity included."""
+    if not verts:
+        yield {}
+        return
+    v, rest = verts[0], verts[1:]
+    for m in _involutions(rest):
+        yield {v: v, **m}
+    for i, w in enumerate(rest):
+        for m in _involutions(rest[:i] + rest[i + 1:]):
+            yield {v: w, w: v, **m}
+
+
+@given(st.one_of(small_graphs(), graphs_with_bare_endpoints()))
+@settings(max_examples=150, deadline=None)
+def test_graph_search_reaches_only_valid_involutions(c):
+    # on graphs _valid_involutions yields every complete candidate without
+    # validating it; each must be valid, and together they must be all of
+    # the valid non-identity involutions
+    found = list(_valid_involutions(c))
+    for t in found:
+        assert validate_involution(c, t) == (True, None), t
+    want = [m for m in _involutions(list(c.vertices()))
+            if any(v != w for v, w in m.items())
+            and validate_involution(c, m)[0]]
+    assert sorted(t.pairs for t in found) == \
+        sorted(Involution.from_mapping(m).pairs for m in want)
 
 
 def test_simplest_form_examples():
