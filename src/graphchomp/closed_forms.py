@@ -2,24 +2,22 @@
 
 Each rule answers "does this position match the hypothesis?" and, if so,
 produces an exact value or a lower bound.  Exact rules double as engine
-fast paths; bounds never do.
+fast paths; bounds never do.  Graph classes are read off graph_stats.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .complexes import (
     GraphStats,
     InvalidInputError,
+    PseudotreeShape,
     SimplicialComplex,
-    adjacency,
     graph_stats,
     is_graph,
     mask_of,
-    memoize,
 )
 from .symmetry import is_simplest_form
 
@@ -79,152 +77,37 @@ def even_cycle_pseudotree_value(v: int) -> FormulaResult:
     return FormulaResult(EXACT, 3 if v % 2 else 0, "even-cycle-pseudotree")
 
 
-# --- complete multipartite detection ---------------------------------------
+# --- graph classes, read from graph_stats -----------------------------------
 
 
-@memoize
 def npartite_parts(c: SimplicialComplex) -> Optional[list[int]]:
-    """Part sizes if the graph is complete multipartite, else None.
-
-    Groups vertices by their closed non-neighbourhood (the vertex and every
-    vertex it is not adjacent to).  The graph is complete multipartite
-    exactly when each group equals its key: the groups are then the parts.
-    """
-    if not is_graph(c) or not c.faces:
-        return None
-    adj = adjacency(c)
-    verts = frozenset(adj)
-    groups = Counter(verts - ns for ns in adj.values())
-    # a vertex lies in its own key, so a group is a subset of its key
-    if any(len(key) != size for key, size in groups.items()):
-        return None
-    return sorted(groups.values())
+    """Part sizes if c is a nonempty complete multipartite graph, else None."""
+    return graph_stats(c).parts if is_graph(c) else None
 
 
-# --- pseudotree shapes ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PseudotreeShape:
-    cycle_vertices: tuple[int, ...]
-    attachment_degrees: dict[int, int]
-    tail_profile: Optional[dict[int, tuple[int, ...]]]
-    is_hairball: bool
-    odd_cycle: bool
-    v: int
-    # (A, B) when exactly one cycle vertex A has degree 3, with tree
-    # neighbour B, and every other cycle vertex has degree 2
-    single_attachment: Optional[tuple[int, int]]
-    # sorted lengths of B's two branches when B has two and both are paths
-    branch_lengths: Optional[tuple[int, int]]
-
-
-def _path_length(adj: dict[int, set[int]], prev: int, cur: int) -> Optional[int]:
-    """Vertex count of the path entered from prev at cur, or None on a fork."""
-    length = 1
-    while True:
-        nxt = adj[cur] - {prev}
-        if not nxt:
-            return length
-        if len(nxt) > 1:
-            return None
-        prev, cur = cur, next(iter(nxt))
-        length += 1
-
-
-@memoize
 def pseudotree_classify(c: SimplicialComplex) -> Optional[PseudotreeShape]:
-    """Shape of a connected single-cycle graph, or None.
-
-    The only walk over a pseudotree: every pseudotree rule reads its shape.
-    """
-    if not is_graph(c) or not c.faces:
-        return None
-    stats = graph_stats(c)
-    if stats.component_count != 1 or stats.e != stats.v or stats.v < 3:
-        return None
-    adj = adjacency(c)
-
-    # strip leaves to expose the unique cycle
-    deg = {u: len(ns) for u, ns in adj.items()}
-    live = {u: set(ns) for u, ns in adj.items()}
-    queue = [u for u in adj if deg[u] == 1]
-    removed = set()
-    while queue:
-        u = queue.pop()
-        removed.add(u)
-        for w in live[u]:
-            live[w].discard(u)
-            deg[w] -= 1
-            if deg[w] == 1 and w not in removed:
-                queue.append(w)
-        live[u] = set()
-    core = [u for u in adj if u not in removed]
-    if not core or any(deg[u] != 2 for u in core):
-        return None
-
-    # order the cycle starting from its smallest vertex
-    start = min(core)
-    cycle = [start]
-    prev, cur = None, start
-    while True:
-        nxt = min(w for w in live[cur] if w != prev) if prev is None else next(
-            w for w in live[cur] if w != prev
-        )
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-
-    core_set = set(cycle)
-    hairball = all(len(adj[u]) <= 2 for u in adj if u not in core_set)
-
-    tails: Optional[dict[int, tuple[int, ...]]] = None
-    if hairball:
-        tails = {}
-        for a in cycle:
-            lengths = sorted(_path_length(adj, a, w) for w in adj[a] - core_set)
-            if lengths:
-                tails[a] = tuple(lengths)
-
-    single = branches = None
-    heavy = [a for a in cycle if len(adj[a]) > 2]
-    if len(heavy) == 1 and len(adj[heavy[0]]) == 3:
-        a = heavy[0]
-        (b,) = adj[a] - core_set
-        single = (a, b)
-        if len(adj[b]) == 3:
-            lengths = [_path_length(adj, b, w) for w in adj[b] - {a}]
-            if None not in lengths:
-                branches = tuple(sorted(lengths))
-
-    return PseudotreeShape(
-        cycle_vertices=tuple(cycle),
-        attachment_degrees={a: len(adj[a]) for a in cycle},
-        tail_profile=tails,
-        is_hairball=hairball,
-        odd_cycle=len(cycle) % 2 == 1,
-        v=stats.v,
-        single_attachment=single,
-        branch_lengths=branches,
-    )
+    """Shape of a connected single-cycle graph, or None."""
+    return graph_stats(c).shape if is_graph(c) else None
 
 
 def single_attachment_value(
-    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None
+    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None,
+    colors: Optional[Sequence[int]] = None,
 ) -> FormulaResult:
     """Odd cycle joined to one tree by an edge, in simplest form.
 
     Exact when the tree neighbor B has even degree (3 or 0 by vertex
-    parity); only a lower bound of 4 when B has odd degree.
+    parity); only a lower bound of 4 when B has odd degree.  colors, when
+    given, is the stable refinement colouring of c (see is_simplest_form).
     """
     shape = shape if shape is not None else pseudotree_classify(c)
     if shape is None or not shape.odd_cycle or shape.single_attachment is None:
         return _na()
-    if not is_simplest_form(c):
+    if not is_simplest_form(c, colors):
         return _na()
     _, b = shape.single_attachment
-    if graph_stats(c).degrees[b] % 2 == 1:
+    # B lies in its edges and its singleton: an even count is an odd degree
+    if sum(f >> b & 1 for f in c.faces) % 2 == 0:
         return FormulaResult(LOWER_BOUND, 4, "odd-pseudotree-single-attachment")
     value = 3 if shape.v % 2 else 0
     return FormulaResult(EXACT, value, "odd-pseudotree-single-attachment")
@@ -289,20 +172,21 @@ def gmk_recurrence(m: int, k: int, memo: Optional[dict] = None) -> int:
 
 
 def hairball_value(
-    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None
+    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None,
+    colors: Optional[Sequence[int]] = None,
 ) -> FormulaResult:
     """Odd-cycle hairball in simplest form (not a bare cycle).
 
     Odd vertex count gives 3.  Even gives 4 only for the single attachment
     vertex carrying consecutive-length tails {k, k+1} (the k = 0 instance
-    being a lone leaf), else 0.
+    being a lone leaf), else 0.  colors as for single_attachment_value.
     """
     shape = shape if shape is not None else pseudotree_classify(c)
     if shape is None or not shape.odd_cycle or not shape.is_hairball:
         return _na()
     if not shape.tail_profile:
         return _na()  # bare cycle
-    if not is_simplest_form(c):
+    if not is_simplest_form(c, colors):
         return _na()
     if shape.v % 2 == 1:
         return FormulaResult(EXACT, 3, "hairball")
@@ -360,10 +244,9 @@ def engine_fast_value(
         if stats.cycle_count == 0:
             return forest_value(stats.v, stats.component_count).value, "forest"
         return bipartite_value(stats.v, stats.e).value, "bipartite"
-    parts = npartite_parts(c)
-    if parts is not None:
-        return complete_npartite_value(parts).value, "complete-npartite"
-    shape = pseudotree_classify(c)
+    if stats.parts is not None:
+        return complete_npartite_value(stats.parts).value, "complete-npartite"
+    shape = stats.shape
     if shape is None or not shape.odd_cycle:
         return None
     if shape.tail_profile == {}:  # a hairball with no tails: a bare cycle
@@ -383,24 +266,25 @@ def wants_simplest_certificate(
     """Cheap test for whether a certified-simplest rule could apply."""
     if stats is None or stats.bipartition is not None:
         return False
-    shape = pseudotree_classify(c)
+    shape = stats.shape
     if shape is None or not shape.odd_cycle:
         return False
     return shape.is_hairball or shape.single_attachment is not None
 
 
 def engine_certified_value(
-    c: SimplicialComplex, stats: Optional[GraphStats]
+    c: SimplicialComplex, stats: Optional[GraphStats],
+    colors: Optional[Sequence[int]] = None,
 ) -> Optional[tuple[int, str]]:
     """Exact hairball or single-attachment value for a simplest-form
-    position, or None."""
-    shape = pseudotree_classify(c)
+    position, or None.  colors as for single_attachment_value."""
+    shape = None if stats is None else stats.shape
     if shape is None or not shape.odd_cycle:
         return None
-    r = hairball_value(c, shape)
+    r = hairball_value(c, shape, colors)
     if r.is_exact:
         return r.value, r.rule
-    r = single_attachment_value(c, shape)
+    r = single_attachment_value(c, shape, colors)
     if r.is_exact:
         return r.value, r.rule
     return None

@@ -2,11 +2,13 @@
 
 A position in subset take-away is a downward-closed family of nonempty
 subsets of {0, ..., ground_size-1}.  Faces are stored as integer bitmasks,
-which caps the ground set at 64 vertices.
+which caps the ground set at 64 vertices.  Every graph class the closed
+forms test is read off the record of graph_stats, the one walk over a graph.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable, Iterable, Optional, TypeVar
@@ -210,15 +212,19 @@ def is_graph(c: SimplicialComplex) -> bool:
     return all(face_size(f) <= 2 for f in c.faces)
 
 
-def adjacency(c: SimplicialComplex) -> dict[int, set[int]]:
-    """Vertex adjacency from the 2-faces.  Requires a graph."""
-    adj: dict[int, set[int]] = {v: set() for v in c.vertices()}
-    for f in c.faces:
-        if face_size(f) == 2:
-            a, b = vertices_of(f)
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
+@dataclass(frozen=True)
+class PseudotreeShape:
+    cycle_vertices: tuple[int, ...]
+    attachment_degrees: dict[int, int]
+    tail_profile: Optional[dict[int, tuple[int, ...]]]
+    is_hairball: bool
+    odd_cycle: bool
+    v: int
+    # (A, B) when exactly one cycle vertex A has degree 3, with tree
+    # neighbour B, and every other cycle vertex has degree 2
+    single_attachment: Optional[tuple[int, int]]
+    # sorted lengths of B's two branches when B has two and both are paths
+    branch_lengths: Optional[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -229,14 +235,23 @@ class GraphStats:
     bipartition: Optional[tuple[frozenset[int], frozenset[int]]]
     cycle_count: int
     component_count: int
+    parts: Optional[list[int]]
+    shape: Optional[PseudotreeShape]
 
 
 @memoize
 def graph_stats(c: SimplicialComplex) -> GraphStats:
-    """Vertex/edge counts, degrees, two-coloring (if bipartite), independent cycles."""
+    """Vertex/edge counts, degrees, two-coloring (if bipartite), independent
+    cycles, parts (if complete multipartite) and shape (if connected with
+    one cycle): the only walk over a graph, whose record keeps no sets."""
     if not is_graph(c):
         raise InvalidInputError("graph statistics requested for a non-graph complex")
-    adj = adjacency(c)
+    adj: dict[int, set[int]] = {v: set() for v in c.vertices()}
+    for f in c.faces:
+        if face_size(f) == 2:
+            a, b = vertices_of(f)
+            adj[a].add(b)
+            adj[b].add(a)
     v = len(adj)
     e = sum(len(nbrs) for nbrs in adj.values()) // 2
     degrees = {u: len(nbrs) for u, nbrs in adj.items()}
@@ -264,7 +279,92 @@ def graph_stats(c: SimplicialComplex) -> GraphStats:
         side0 = frozenset(u for u, s in color.items() if s == 0)
         side1 = frozenset(u for u, s in color.items() if s == 1)
         bipartition = (side0, side1)
-    return GraphStats(v, e, degrees, bipartition, e - v + comp_count, comp_count)
+
+    # Group vertices by their closed non-neighbourhood (the vertex and every
+    # vertex it is not adjacent to), a superset of the group.  The graph is
+    # complete multipartite exactly when each group equals its key.
+    verts = frozenset(adj)
+    groups = Counter(verts - ns for ns in adj.values())
+    parts = None
+    if adj and all(len(key) == size for key, size in groups.items()):
+        parts = sorted(groups.values())
+    single_cycle = comp_count == 1 and e == v >= 3
+    return GraphStats(v, e, degrees, bipartition, e - v + comp_count, comp_count,
+                      parts, _pseudotree_shape(adj) if single_cycle else None)
+
+
+def _path_length(adj: dict[int, set[int]], prev: int, cur: int) -> Optional[int]:
+    """Vertex count of the path entered from prev at cur, or None on a fork."""
+    length = 1
+    while True:
+        nxt = adj[cur] - {prev}
+        if not nxt:
+            return length
+        if len(nxt) > 1:
+            return None
+        prev, cur = cur, next(iter(nxt))
+        length += 1
+
+
+def _pseudotree_shape(adj: dict[int, set[int]]) -> PseudotreeShape:
+    """Shape of the connected graph adj with exactly one cycle."""
+    # strip leaves to expose the unique cycle, the core left behind
+    live = {u: set(ns) for u, ns in adj.items()}
+    queue = [u for u in adj if len(adj[u]) == 1]
+    removed = set()
+    while queue:
+        u = queue.pop()
+        removed.add(u)
+        for w in live[u]:
+            live[w].discard(u)
+            if len(live[w]) == 1 and w not in removed:
+                queue.append(w)
+        live[u] = set()
+    core = [u for u in adj if u not in removed]
+
+    # order the cycle starting from its smallest vertex
+    start = min(core)
+    cycle = [start]
+    prev, cur = None, start
+    while True:
+        nxt = min(w for w in live[cur] if w != prev)
+        if nxt == start:
+            break
+        cycle.append(nxt)
+        prev, cur = cur, nxt
+
+    core_set = set(cycle)
+    hairball = all(len(adj[u]) <= 2 for u in adj if u not in core_set)
+
+    tails: Optional[dict[int, tuple[int, ...]]] = None
+    if hairball:
+        tails = {}
+        for a in cycle:
+            lengths = sorted(_path_length(adj, a, w) for w in adj[a] - core_set)
+            if lengths:
+                tails[a] = tuple(lengths)
+
+    single = branches = None
+    heavy = [a for a in cycle if len(adj[a]) > 2]
+    if len(heavy) == 1 and len(adj[heavy[0]]) == 3:
+        a = heavy[0]
+        (b,) = adj[a] - core_set
+        single = (a, b)
+        if len(adj[b]) == 3:
+            lengths = [_path_length(adj, b, w) for w in adj[b] - {a}]
+            if None not in lengths:
+                branches = tuple(sorted(lengths))
+
+    return PseudotreeShape(
+        cycle_vertices=tuple(cycle),
+        attachment_degrees={a: len(adj[a]) for a in cycle},
+        tail_profile=tails,
+        is_hairball=hairball,
+        odd_cycle=len(cycle) % 2 == 1,
+        v=len(adj),
+        single_attachment=single,
+        branch_lengths=branches,
+    )
 
 
 # --- text formats -----------------------------------------------------------

@@ -11,7 +11,7 @@ view, its faces relabeled onto 0..n-1 straight from the bitmaps, and a
 SimplicialComplex is built only when the table does not know the key,
 where a closed form or the involution search needs one.  The canonical
 search leaves the view's stable colouring on the key, and the involution
-search of the same node starts from it.
+search and the simplest-form test of the same node start from it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Optional
 
-from .canon import DEFAULT_CANON_BOUND, CanonicalKey, position_key, union_key
+from .canon import (DEFAULT_CANON_BOUND, CanonicalKey, position_key,
+                    union_key, view_keys)
 from .closed_forms import (
     engine_certified_value,
     engine_fast_value,
@@ -190,7 +191,6 @@ class TranspositionTable:
 class GrundyRecord:
     value: int
     witness_moves: dict[int, int]
-    position_key: CanonicalKey
     stats: dict = field(default_factory=dict)
 
 
@@ -352,7 +352,11 @@ class _Solver:
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise BudgetExceededError("node budget exceeded", self.table.stats())
         if view is None:
+            # keyed before, perhaps under another configuration: the
+            # colouring stays on the view's key while canon.view_keys has it
             view, vmask = root.view(pos)
+            key = view_keys.get(view)
+            colors = None if key is None else key.colors
         c = SimplicialComplex(vmask.bit_count(), frozenset(view))
 
         stats = None
@@ -372,7 +376,7 @@ class _Solver:
                 value = self.value(pos & ~moved)
         if value is None and self.cfg.use_closed_forms and \
                 wants_simplest_certificate(c, stats):
-            hit = engine_certified_value(c, stats)
+            hit = engine_certified_value(c, stats, colors)
             if hit is not None:
                 value = hit[0]
 
@@ -400,10 +404,13 @@ def _value_from_table(
     """
     if not c.faces:
         return 0
+    # the one split of a solve through the memoized components: the engine
+    # splits every position below the root on its bitmaps
+    parts = components(c) if cfg.use_decomposition else None
     if not table.entries:
         return None
-    if cfg.use_decomposition:
-        keys = [position_key(p) for p in components(c)]
+    if parts is not None:
+        keys = [position_key(p) for p in parts]
     else:
         key = position_key(c)
         if not key.exact and (vm := c.vertex_mask) & (vm + 1):
@@ -453,4 +460,4 @@ def grundy(
                     break
         nodes = solver.nodes
     stats = dict(table.stats(), nodes=nodes)
-    return GrundyRecord(value, witnesses, position_key(c), stats)
+    return GrundyRecord(value, witnesses, stats)

@@ -216,9 +216,12 @@ def find_reduction(
     return None if t is None else (t, _fixed_subcomplex(c, t))
 
 
-def is_simplest_form(c: SimplicialComplex) -> bool:
-    """True when no valid non-identity involution exists."""
-    return _first_involution(c) is None
+def is_simplest_form(
+    c: SimplicialComplex, colors: Optional[Sequence[int]] = None
+) -> bool:
+    """True when no valid non-identity involution exists.  colors as for
+    find_reduction."""
+    return _first_involution(c, colors) is None
 
 
 def reduce_to_simplest(

@@ -79,3 +79,23 @@ def test_traced_engine_keys_go_through_position_key():
     assert proc.returncode == 0, proc.stderr
     calls, misses = json.loads(proc.stdout)
     assert misses > 0 and calls >= misses, (calls, misses)
+
+
+def test_traced_engine_walks_each_graph_node_once():
+    # graph_stats is the only walk over a graph, and a node asks it once:
+    # a closed-form rule that walked the graph again would show up here
+    script = (
+        f"import json, sys; sys.path.insert(0, {str(SOLVERBENCH)!r})\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer().install()\n"
+        "from graphchomp import engine, families\n"
+        "record = engine.grundy(families.erdos_renyi(7, 0.5, 11),\n"
+        "                       table=engine.TranspositionTable())\n"
+        "print(json.dumps([tracer.summary()['complexes.graph_stats']['calls'],\n"
+        "                  record.stats['nodes']]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    calls, nodes = json.loads(proc.stdout)
+    assert nodes > 0 and calls == nodes, (calls, nodes)

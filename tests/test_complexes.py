@@ -1,9 +1,16 @@
+from collections import Counter
+from typing import Optional
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphchomp import complexes
 from graphchomp.canon import canonical_key
-from graphchomp.closed_forms import npartite_parts, pseudotree_classify
+from graphchomp.closed_forms import (
+    PseudotreeShape,
+    npartite_parts,
+    pseudotree_classify,
+)
 from graphchomp.complexes import (
     IllegalMoveError,
     InvalidInputError,
@@ -26,7 +33,18 @@ from graphchomp.complexes import (
     squeeze,
     vertices_of,
 )
-from graphchomp.families import cycle, erdos_renyi, path, wheel
+from graphchomp.families import (
+    complete_npartite,
+    cycle,
+    erdos_renyi,
+    forest_pseudotree,
+    gmk,
+    hairball,
+    path,
+    random_pseudotree,
+    rooted_trees,
+    wheel,
+)
 from graphchomp.symmetry import _first_involution
 
 from conftest import small_complexes, small_graphs
@@ -132,6 +150,160 @@ def test_graph_stats_bipartite():
     assert st_.bipartition is not None
 
 
+# Reference classifiers: the adjacency-based npartite_parts and
+# pseudotree_classify that graph_stats replaced, each with its own walk.
+
+
+def _reference_adjacency(c: SimplicialComplex) -> dict[int, set[int]]:
+    """Vertex adjacency from the 2-faces.  Requires a graph."""
+    adj: dict[int, set[int]] = {v: set() for v in c.vertices()}
+    for f in c.faces:
+        if face_size(f) == 2:
+            a, b = vertices_of(f)
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
+def _reference_npartite_parts(c: SimplicialComplex) -> Optional[list[int]]:
+    if not is_graph(c) or not c.faces:
+        return None
+    adj = _reference_adjacency(c)
+    verts = frozenset(adj)
+    groups = Counter(verts - ns for ns in adj.values())
+    # a vertex lies in its own key, so a group is a subset of its key
+    if any(len(key) != size for key, size in groups.items()):
+        return None
+    return sorted(groups.values())
+
+
+def _reference_path_length(adj: dict[int, set[int]], prev: int,
+                           cur: int) -> Optional[int]:
+    length = 1
+    while True:
+        nxt = adj[cur] - {prev}
+        if not nxt:
+            return length
+        if len(nxt) > 1:
+            return None
+        prev, cur = cur, next(iter(nxt))
+        length += 1
+
+
+def _reference_pseudotree_classify(
+        c: SimplicialComplex) -> Optional[PseudotreeShape]:
+    if not is_graph(c) or not c.faces:
+        return None
+    stats = graph_stats(c)
+    if stats.component_count != 1 or stats.e != stats.v or stats.v < 3:
+        return None
+    adj = _reference_adjacency(c)
+
+    # strip leaves to expose the unique cycle
+    deg = {u: len(ns) for u, ns in adj.items()}
+    live = {u: set(ns) for u, ns in adj.items()}
+    queue = [u for u in adj if deg[u] == 1]
+    removed = set()
+    while queue:
+        u = queue.pop()
+        removed.add(u)
+        for w in live[u]:
+            live[w].discard(u)
+            deg[w] -= 1
+            if deg[w] == 1 and w not in removed:
+                queue.append(w)
+        live[u] = set()
+    core = [u for u in adj if u not in removed]
+    if not core or any(deg[u] != 2 for u in core):
+        return None
+
+    # order the cycle starting from its smallest vertex
+    start = min(core)
+    cycle = [start]
+    prev, cur = None, start
+    while True:
+        nxt = min(w for w in live[cur] if w != prev) if prev is None else next(
+            w for w in live[cur] if w != prev
+        )
+        if nxt == start:
+            break
+        cycle.append(nxt)
+        prev, cur = cur, nxt
+
+    core_set = set(cycle)
+    hairball = all(len(adj[u]) <= 2 for u in adj if u not in core_set)
+
+    tails: Optional[dict[int, tuple[int, ...]]] = None
+    if hairball:
+        tails = {}
+        for a in cycle:
+            lengths = sorted(_reference_path_length(adj, a, w)
+                             for w in adj[a] - core_set)
+            if lengths:
+                tails[a] = tuple(lengths)
+
+    single = branches = None
+    heavy = [a for a in cycle if len(adj[a]) > 2]
+    if len(heavy) == 1 and len(adj[heavy[0]]) == 3:
+        a = heavy[0]
+        (b,) = adj[a] - core_set
+        single = (a, b)
+        if len(adj[b]) == 3:
+            lengths = [_reference_path_length(adj, b, w) for w in adj[b] - {a}]
+            if None not in lengths:
+                branches = tuple(sorted(lengths))
+
+    return PseudotreeShape(
+        cycle_vertices=tuple(cycle),
+        attachment_degrees={a: len(adj[a]) for a in cycle},
+        tail_profile=tails,
+        is_hairball=hairball,
+        odd_cycle=len(cycle) % 2 == 1,
+        v=stats.v,
+        single_attachment=single,
+        branch_lengths=branches,
+    )
+
+
+_cycle_sizes = st.integers(3, 7)
+
+
+@st.composite
+def _forest_pseudotrees(draw):
+    size = draw(_cycle_sizes)
+    trees = st.integers(1, 4).flatmap(lambda n: st.sampled_from(rooted_trees(n)))
+    forests = draw(st.lists(st.lists(trees, max_size=2), max_size=size))
+    return forest_pseudotree(size, forests)
+
+
+_classified_graphs = st.one_of(
+    small_graphs(max_vertices=8),
+    st.builds(random_pseudotree, _cycle_sizes, st.integers(0, 6),
+              st.integers(0, 10**6)),
+    _forest_pseudotrees(),
+    st.builds(gmk, st.integers(0, 5), st.integers(0, 5),
+              st.sampled_from([3, 5, 7])),
+    _cycle_sizes.flatmap(lambda size: st.builds(
+        hairball, st.just(size),
+        st.lists(st.lists(st.integers(1, 3), max_size=2), max_size=size))),
+    st.builds(complete_npartite, st.lists(st.integers(1, 3), min_size=1,
+                                          max_size=4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_classified_graphs, small_complexes()))
+def test_classifiers_match_the_reference(c):
+    # graph_stats derives parts and shape in its one walk; the public
+    # classifiers read them and must answer as the separate walks did
+    assert npartite_parts(c) == _reference_npartite_parts(c)
+    assert pseudotree_classify(c) == _reference_pseudotree_classify(c)
+    if is_graph(c):
+        stats = graph_stats(c)
+        assert stats.parts == _reference_npartite_parts(c)
+        assert stats.shape == _reference_pseudotree_classify(c)
+
+
 def test_is_graph():
     assert is_graph(close_down([mask_of([0, 1])], 2))
     assert not is_graph(close_down([mask_of([0, 1, 2])], 3))
@@ -177,8 +349,7 @@ def test_ground_set_cap():
 
 
 def test_memoized_caches_stay_bounded(monkeypatch):
-    cached_fns = (components, graph_stats, canonical_key, _first_involution,
-                  pseudotree_classify, npartite_parts)
+    cached_fns = (components, graph_stats, canonical_key, _first_involution)
     positions = [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 8)]
     positions += [wheel(5), erdos_renyi(6, 0.5, 1)]
     expected = {fn: [fn.__wrapped__(c) for c in positions] for fn in cached_fns}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphchomp import canon, complexes, engine
+from graphchomp import canon, complexes, engine, symmetry
 from graphchomp.closed_forms import bipartite_value, forest_value
 from graphchomp.complexes import (
     SimplicialComplex,
@@ -252,16 +252,61 @@ def _fresh_caches():
 def test_keyed_parts_fill_only_the_view_memo():
     # each new connected part is keyed from its dense view: one entry in
     # canon.view_keys, and no complex kept in components.cache; only the
-    # root itself, keyed for the record, goes through components
+    # root itself is split through components, and nothing is keyed as a
+    # complex
     c = erdos_renyi(7, 0.5, 11)
     _fresh_caches()
     grundy(c, EngineConfig(), TranspositionTable(), full_spectrum=True)
     root = engine._last_root
     views = {root.view(pos)[0] for pos in root.keys}
     assert len(root.keys) > 30
-    assert set(canon.view_keys) == views | {canon.dense_view(c)}
+    assert set(canon.view_keys) == views
     assert list(complexes.components.cache) == [c.faces]
-    assert list(canon.canonical_key.cache) == [c.faces]
+    assert not canon.canonical_key.cache
+
+
+def _count_refinements(monkeypatch) -> list[int]:
+    """Count the involution search's own runs of the stable refinement."""
+    calls = [0]
+    original = symmetry.refinement_colors
+
+    def counted(c):
+        calls[0] += 1
+        return original(c)
+
+    monkeypatch.setattr(symmetry, "refinement_colors", counted)
+    return calls
+
+
+def test_colouring_survives_a_root_key_hit(monkeypatch):
+    # a position keyed under one configuration is found in _Root.keys under
+    # the next, and its key still carries the colouring for the involution
+    # search, so the refinement does not run again
+    c = erdos_renyi(7, 0.5, 11)
+    _fresh_caches()
+    grundy(c, EngineConfig(False, False, True), TranspositionTable())
+    symmetry._first_involution.cache.clear()
+    calls = _count_refinements(monkeypatch)
+    record = grundy(c, EngineConfig(True, False, True), TranspositionTable())
+    assert record.stats["nodes"] > 0
+    assert calls[0] == 0
+
+
+def test_certificate_without_reduction_reuses_the_colouring(monkeypatch):
+    # with reduction off, the simplest-form test of a closed-form
+    # certificate starts from the colouring on the node's key
+    positions = [erdos_renyi(7, 0.5, seed) for seed in range(100, 120)]
+    search = EngineConfig(False, False, True)
+    want = [grundy(c, search, TranspositionTable(), full_spectrum=True)
+            for c in positions]
+    _fresh_caches()
+    symmetry._first_involution.cache.clear()
+    calls = _count_refinements(monkeypatch)
+    for c, ref in zip(positions, want):
+        rec = grundy(c, EngineConfig(use_reduction=False), TranspositionTable(),
+                     full_spectrum=True)
+        assert (rec.value, rec.witness_moves) == (ref.value, ref.witness_moves)
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
