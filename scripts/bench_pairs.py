@@ -11,7 +11,11 @@ runs first alternates from seed to seed.  Each checkout runs its own
 solverbench on its own source.  For every end-to-end metric the result
 holds both sides' medians, the parent's quartiles, the change against the
 parent in percent, and `wins`, the number of pairs in which the change was
-better.  The workload's entry is added to --out, keeping the others.
+better.  A metric is `unresolved` when the parent's interquartile spread,
+relative to its median, is wider than the metric's `bound` in
+BENCHMARK.json, unless every change run is better than every parent run:
+such a median difference cannot tell a change from noise.  The workload's
+entry is added to --out, keeping the others.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ def main() -> int:
     args = ap.parse_args()
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     runs = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -62,12 +65,14 @@ def main() -> int:
         print(seed, *(runs[s][-1]["correct"] for s in order), file=sys.stderr)
 
     metrics = {}
-    for name, direction in better.items():
+    for metric in bench["end_to_end"]:
+        name, direction = metric["name"], metric["better"]
         old = [r["metrics"][name]["value"] for r in runs["parent"]]
         new = [r["metrics"][name]["value"] for r in runs["change"]]
         q1, _, q3 = statistics.quantiles(old, n=4)
         sign = 1 if direction == "higher" else -1
         po, pn = statistics.median(old), statistics.median(new)
+        beats_all = min(sign * b for b in new) > max(sign * a for a in old)
         metrics[name] = {
             "better": direction,
             "parent_median": round(po, 6),
@@ -76,6 +81,8 @@ def main() -> int:
             "wins": sum(sign * (b - a) > 0 for a, b in zip(old, new)),
             "parent_q1": round(q1, 6),
             "parent_q3": round(q3, 6),
+            "unresolved": q3 - q1 > metric["bound"] * abs(po)
+            and not beats_all,
         }
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
     out[args.workload] = {

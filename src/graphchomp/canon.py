@@ -24,9 +24,11 @@ representative, which keeps cliques and co-cliques cheap.
 
 Keys are computed on dense views: a connected position's faces relabeled
 onto 0..n-1 in label order and sorted.  `view_keys` memoizes them by the
-view; the key of a view carries the stable colouring its search started
-from, for the involution search of the same position.  A disjoint union
-is keyed from its parts' keys (`union_key`).
+view.  The key of a view also carries the stable colouring its search
+started from, and `refinement_colors` answers from it, so the involution
+search of a position keyed before runs no refinement of its own and no
+caller hands a colouring on.  A disjoint union is keyed from its parts'
+keys (`union_key`).
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ class CanonicalizationBoundError(RuntimeError):
 @dataclass(frozen=True)
 class CanonicalKey:
     """A table key.  The key of a connected position, computed from its
-    dense view, also carries the view's stable colouring: vertex v has
-    colour colors[v].  The colouring takes no part in equality."""
+    dense view, also carries the view's stable colouring for
+    refinement_colors: vertex v has colour colors[v].  The colouring takes
+    no part in equality."""
     digest: bytes
     faces: tuple[int, ...]
     exact: bool = True
@@ -225,19 +228,6 @@ def _refiner(n: int, fmembers: list[tuple[int, ...]]):
     return stable, individualize, interchangeable
 
 
-def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
-    """Stable vertex coloring; automorphisms preserve color classes."""
-    vmask = c.vertex_mask
-    verts = vertices_of(vmask)
-    fmembers = [vertices_of(f) for f in squeeze(c.faces, vmask)]
-    stable, _, _ = _refiner(len(verts), fmembers)
-    colors = [0] * len(verts)
-    for i, cell in enumerate(stable()):
-        for v in cell:
-            colors[v] = i
-    return dict(zip(verts, colors))
-
-
 def dense_view(c: SimplicialComplex) -> tuple[int, ...]:
     """The faces of c relabeled onto 0..n-1 in label order (complexes.squeeze),
     sorted: the form in which canonical_order and position_key also take a
@@ -313,6 +303,25 @@ def _view_key(view: tuple[int, ...]) -> CanonicalKey:
                            colors=bytes(colors))
         bounded_store(view_keys, view, key)
     return key
+
+
+def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
+    """Stable vertex coloring; automorphisms preserve color classes.
+
+    Read off the key of c's dense view when view_keys holds one: its
+    canonical search started from this colouring.
+    """
+    verts = c.vertices()
+    view = dense_view(c)
+    key = view_keys.get(view)
+    if key is not None:
+        return dict(zip(verts, key.colors))
+    stable, _, _ = _refiner(len(verts), [vertices_of(f) for f in view])
+    colors = [0] * len(verts)
+    for i, cell in enumerate(stable()):
+        for v in cell:
+            colors[v] = i
+    return dict(zip(verts, colors))
 
 
 def union_key(keys: list[CanonicalKey]) -> CanonicalKey:

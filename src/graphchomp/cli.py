@@ -221,7 +221,7 @@ def cmd_verify(args) -> int:
     cfg = _config_from(args)
     table, cache_path = _open_table(args)
     failures = []
-    checked = 0
+    checked = refused = 0
     oracle_memo: dict = {}
     for label, c, expected in _verify_cases(args):
         rec = grundy(c, cfg, table, args.budget)
@@ -232,13 +232,17 @@ def cmd_verify(args) -> int:
                 ok = oracle_grundy(c, DEFAULT_ORACLE_BUDGET, oracle_memo) \
                     == expected
             except OracleBudgetError:
-                pass
+                refused += 1
         if not ok:
             failures.append({"case": label, "formula": expected,
                             "engine": rec.value})
             print(f"FAIL {label}: formula {expected}, engine {rec.value}")
     if cache_path:
         table.save(cache_path)
+    if refused:
+        print(f"oracle refused {refused} of {checked} cases (budget "
+              f"{DEFAULT_ORACLE_BUDGET}); they are not oracle-checked",
+              file=sys.stderr)
     summary = {"family": args.family, "checked": checked,
                "failures": failures, "pass": not failures}
     if args.json:

@@ -8,7 +8,7 @@ fast paths; bounds never do.  Graph classes are read off graph_stats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .complexes import (
     GraphStats,
@@ -91,19 +91,17 @@ def pseudotree_classify(c: SimplicialComplex) -> Optional[PseudotreeShape]:
 
 
 def single_attachment_value(
-    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None,
-    colors: Optional[Sequence[int]] = None,
+    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None
 ) -> FormulaResult:
     """Odd cycle joined to one tree by an edge, in simplest form.
 
     Exact when the tree neighbor B has even degree (3 or 0 by vertex
-    parity); only a lower bound of 4 when B has odd degree.  colors, when
-    given, is the stable refinement colouring of c (see is_simplest_form).
+    parity); only a lower bound of 4 when B has odd degree.
     """
     shape = shape if shape is not None else pseudotree_classify(c)
     if shape is None or not shape.odd_cycle or shape.single_attachment is None:
         return _na()
-    if not is_simplest_form(c, colors):
+    if not is_simplest_form(c):
         return _na()
     _, b = shape.single_attachment
     # B lies in its edges and its singleton: an even count is an odd degree
@@ -172,21 +170,20 @@ def gmk_recurrence(m: int, k: int, memo: Optional[dict] = None) -> int:
 
 
 def hairball_value(
-    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None,
-    colors: Optional[Sequence[int]] = None,
+    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None
 ) -> FormulaResult:
     """Odd-cycle hairball in simplest form (not a bare cycle).
 
     Odd vertex count gives 3.  Even gives 4 only for the single attachment
     vertex carrying consecutive-length tails {k, k+1} (the k = 0 instance
-    being a lone leaf), else 0.  colors as for single_attachment_value.
+    being a lone leaf), else 0.
     """
     shape = shape if shape is not None else pseudotree_classify(c)
     if shape is None or not shape.odd_cycle or not shape.is_hairball:
         return _na()
     if not shape.tail_profile:
         return _na()  # bare cycle
-    if not is_simplest_form(c, colors):
+    if not is_simplest_form(c):
         return _na()
     if shape.v % 2 == 1:
         return FormulaResult(EXACT, 3, "hairball")
@@ -273,18 +270,17 @@ def wants_simplest_certificate(
 
 
 def engine_certified_value(
-    c: SimplicialComplex, stats: Optional[GraphStats],
-    colors: Optional[Sequence[int]] = None,
+    c: SimplicialComplex, stats: Optional[GraphStats]
 ) -> Optional[tuple[int, str]]:
     """Exact hairball or single-attachment value for a simplest-form
-    position, or None.  colors as for single_attachment_value."""
+    position, or None."""
     shape = None if stats is None else stats.shape
     if shape is None or not shape.odd_cycle:
         return None
-    r = hairball_value(c, shape, colors)
+    r = hairball_value(c, shape)
     if r.is_exact:
         return r.value, r.rule
-    r = single_attachment_value(c, shape, colors)
+    r = single_attachment_value(c, shape)
     if r.is_exact:
         return r.value, r.rule
     return None

@@ -30,21 +30,20 @@ def bounded_store(cache: dict, key, value) -> None:
 
 
 def memoize(fn: Callable[..., _T]) -> Callable[..., _T]:
-    """Cache fn(c, *hints) by c.faces, emptying the cache when it holds
-    CACHE_SIZE entries.
+    """Cache fn(c) by c.faces, emptying the cache when it holds CACHE_SIZE
+    entries.
 
     Keyed on the face set, which is all the cached analyses read, rather than
-    on the complex, so the cache keeps no complex alive.  Further arguments
-    may only be facts about c that save fn work, never change its result.
-    A call that raises stores nothing.
+    on the complex, so the cache keeps no complex alive.  A call that raises
+    stores nothing.
     """
     cache: dict[frozenset[int], _T] = {}
 
     @wraps(fn)
-    def cached(c: "SimplicialComplex", *hints) -> _T:
+    def cached(c: "SimplicialComplex") -> _T:
         result = cache.get(c.faces, _MISS)
         if result is _MISS:
-            result = fn(c, *hints)
+            result = fn(c)
             bounded_store(cache, c.faces, result)
         return result
 

@@ -9,9 +9,9 @@ Inside a solve a position is an int bitmap over the root's sorted faces
 operations.  A position met for the first time is keyed from its dense
 view, its faces relabeled onto 0..n-1 straight from the bitmaps, and a
 SimplicialComplex is built only when the table does not know the key,
-where a closed form or the involution search needs one.  The canonical
-search leaves the view's stable colouring on the key, and the involution
-search and the simplest-form test of the same node start from it.
+where a closed form or the involution search needs one.  That search
+finds the stable colouring on the view's key through canon, so the
+engine hands no colouring on.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Optional
 
-from .canon import (DEFAULT_CANON_BOUND, CanonicalKey, position_key,
-                    union_key, view_keys)
+from .canon import DEFAULT_CANON_BOUND, CanonicalKey, position_key, union_key
 from .closed_forms import (
     engine_certified_value,
     engine_fast_value,
@@ -337,12 +336,11 @@ class _Solver:
             self.table.hits += 1
             return value
         root = self.root
-        view = colors = None
+        view = None
         digest = root.keys.get(pos)
         if digest is None:
             view, vmask = root.view(pos)
-            key = self.key(pos, view)
-            digest, colors = key.digest, key.colors
+            digest = self.key(pos, view).digest
             bounded_store(root.keys, pos, digest)
         value = self.table.lookup(digest)
         if value is not None:
@@ -351,12 +349,8 @@ class _Solver:
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise BudgetExceededError("node budget exceeded", self.table.stats())
-        if view is None:
-            # keyed before, perhaps under another configuration: the
-            # colouring stays on the view's key while canon.view_keys has it
+        if view is None:  # keyed before, perhaps under another configuration
             view, vmask = root.view(pos)
-            key = view_keys.get(view)
-            colors = None if key is None else key.colors
         c = SimplicialComplex(vmask.bit_count(), frozenset(view))
 
         stats = None
@@ -367,7 +361,7 @@ class _Solver:
                 value = hit[0]
 
         if value is None and self.cfg.use_reduction:
-            reduction = find_reduction(c, colors)
+            reduction = find_reduction(c)
             if reduction is not None:
                 verts = vertices_of(vmask)
                 moved = 0
@@ -376,7 +370,7 @@ class _Solver:
                 value = self.value(pos & ~moved)
         if value is None and self.cfg.use_closed_forms and \
                 wants_simplest_certificate(c, stats):
-            hit = engine_certified_value(c, stats, colors)
+            hit = engine_certified_value(c, stats)
             if hit is not None:
                 value = hit[0]
 

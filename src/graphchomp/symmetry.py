@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .canon import refinement_colors
 from .complexes import (
@@ -122,17 +122,14 @@ def _fixed_subcomplex(c: SimplicialComplex, t: Involution) -> SimplicialComplex:
     return dense_complex(faces, reduce(or_, faces, 0))
 
 
-def _valid_involutions(
-    c: SimplicialComplex, colors: Optional[Sequence[int]] = None
-) -> Iterator[Involution]:
+def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
     """All valid non-identity involutions, via backtracking over color classes.
 
     Order: each vertex in ascending label order tries every unassigned
     partner of its own refinement color in ascending order, and being fixed
     last.  Refinement colors are automorphism-invariant, so no other image
     is possible; pairing two adjacent vertices is pruned immediately (their
-    shared edge would be setwise fixed).  colors, when given, is that
-    colouring (vertex v has colour colors[v]).
+    shared edge would be setwise fixed).
 
     On a graph every complete candidate is valid: colours keep presence, so
     singletons map to singletons; `consistent` checks adjacency for every
@@ -143,8 +140,7 @@ def _valid_involutions(
     verts = sorted(c.vertices())
     if len(verts) < 2:
         return
-    if colors is None:
-        colors = refinement_colors(c)
+    colors = refinement_colors(c)
     nb = [0] * c.ground_size  # neighbour bitmasks of the edges
     graph = True
     for f in c.faces:
@@ -199,29 +195,23 @@ def _valid_involutions(
 
 
 @memoize
-def _first_involution(
-    c: SimplicialComplex, colors: Optional[Sequence[int]] = None
-) -> Optional[Involution]:
+def _first_involution(c: SimplicialComplex) -> Optional[Involution]:
     """The first valid involution in _valid_involutions order, or None."""
-    return next(_valid_involutions(c, colors), None)
+    return next(_valid_involutions(c), None)
 
 
 def find_reduction(
-    c: SimplicialComplex, colors: Optional[Sequence[int]] = None
+    c: SimplicialComplex,
 ) -> Optional[tuple[Involution, SimplicialComplex]]:
     """The first valid involution (see _valid_involutions) and its fixed set,
-    or None when c is in simplest form.  colors, when given, is the stable
-    refinement colouring of c, which the search then need not compute."""
-    t = _first_involution(c, colors)
+    or None when c is in simplest form."""
+    t = _first_involution(c)
     return None if t is None else (t, _fixed_subcomplex(c, t))
 
 
-def is_simplest_form(
-    c: SimplicialComplex, colors: Optional[Sequence[int]] = None
-) -> bool:
-    """True when no valid non-identity involution exists.  colors as for
-    find_reduction."""
-    return _first_involution(c, colors) is None
+def is_simplest_form(c: SimplicialComplex) -> bool:
+    """True when no valid non-identity involution exists."""
+    return _first_involution(c) is None
 
 
 def reduce_to_simplest(

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from graphchomp import canon
 from graphchomp.canon import (
     CanonicalizationBoundError,
     canonical_key,
@@ -265,9 +266,15 @@ def _reference_order(c):
 
 
 def _assert_matches_reference(c):
-    assert refinement_colors(c) == _reference_colors(c)
+    # refined first, then read off the key position_key leaves in view_keys
+    # (when c is connected and within the bound)
+    want = _reference_colors(c)
+    canon.view_keys.pop(dense_view(c), None)
+    assert refinement_colors(c) == want
     if c.faces:
         assert canonical_order(c) == _reference_order(c)
+        position_key(c)
+        assert refinement_colors(c) == want
 
 
 def _union(a, b):
@@ -339,13 +346,14 @@ def test_refinement_matches_reference(pair):
 @settings(max_examples=150)
 def test_views_key_like_their_complexes(pair):
     # a dense view orders and keys as its complex does, and the colouring
-    # its search leaves behind is refinement_colors in the view's labels
+    # its search leaves behind is the reference colouring in the view's
+    # labels
     c, mapping = pair
     c = relabel(c, mapping, c.ground_size + 2)
     view = dense_view(c)
     colors = bytearray(len(c.vertices()))
     assert canonical_order(view, colors) == canonical_order(c)
-    assert list(colors) == list(refinement_colors(c).values())
+    assert list(colors) == list(_reference_colors(c).values())
     if len(components(c)) == 1:
         key = position_key(view)
         assert key == position_key(c) and key.colors == colors

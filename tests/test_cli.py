@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from graphchomp import cli
 from graphchomp.cli import build_parser, main
 
 
@@ -196,6 +197,21 @@ def test_verify_forests(capsys):
     code, out = run_cli(capsys, "verify", "forests", "--max-v", "7",
                         "--samples", "40", "--json")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_verify_reports_oracle_refusals(capsys, monkeypatch):
+    # a refused oracle check is no disagreement, but it is not a check
+    # either: stderr says how many cases went unchecked
+    argv = ("verify", "forests", "--samples", "3", "--max-v", "6",
+            "--oracle", "--json")
+    assert main(list(argv)) == 0
+    checked = capsys.readouterr()
+    assert checked.err == ""
+    monkeypatch.setattr(cli, "DEFAULT_ORACLE_BUDGET", 5)
+    assert main(list(argv)) == 0
+    refused = capsys.readouterr()
+    assert refused.out == checked.out
+    assert refused.err.startswith("oracle refused 2 of 3 cases")
 
 
 def test_tables_text_and_csv(capsys):

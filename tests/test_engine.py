@@ -265,48 +265,54 @@ def test_keyed_parts_fill_only_the_view_memo():
     assert not canon.canonical_key.cache
 
 
-def _count_refinements(monkeypatch) -> list[int]:
-    """Count the involution search's own runs of the stable refinement."""
-    calls = [0]
-    original = symmetry.refinement_colors
+def _count_refinements(monkeypatch) -> dict[str, int]:
+    """Count the runs of the stable refinement (canon._refiner) and of the
+    canonical search, which runs it once per key.  A refinement the
+    involution search runs of its own shows as more refiner runs than
+    searches."""
+    counts = {"_refiner": 0, "canonical_order": 0}
+    for name in counts:
+        original = getattr(canon, name)
 
-    def counted(c):
-        calls[0] += 1
-        return original(c)
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(symmetry, "refinement_colors", counted)
-    return calls
+        monkeypatch.setattr(canon, name, counted)
+    return counts
 
 
 def test_colouring_survives_a_root_key_hit(monkeypatch):
     # a position keyed under one configuration is found in _Root.keys under
-    # the next, and its key still carries the colouring for the involution
-    # search, so the refinement does not run again
+    # the next, and view_keys still holds its key, so the involution search
+    # reads the colouring there and the refinement does not run again
     c = erdos_renyi(7, 0.5, 11)
     _fresh_caches()
     grundy(c, EngineConfig(False, False, True), TranspositionTable())
     symmetry._first_involution.cache.clear()
-    calls = _count_refinements(monkeypatch)
+    counts = _count_refinements(monkeypatch)
     record = grundy(c, EngineConfig(True, False, True), TranspositionTable())
     assert record.stats["nodes"] > 0
-    assert calls[0] == 0
+    assert symmetry._first_involution.cache
+    assert counts["_refiner"] <= counts["canonical_order"]
 
 
 def test_certificate_without_reduction_reuses_the_colouring(monkeypatch):
     # with reduction off, the simplest-form test of a closed-form
-    # certificate starts from the colouring on the node's key
+    # certificate reads the colouring on the node's key
     positions = [erdos_renyi(7, 0.5, seed) for seed in range(100, 120)]
     search = EngineConfig(False, False, True)
     want = [grundy(c, search, TranspositionTable(), full_spectrum=True)
             for c in positions]
     _fresh_caches()
     symmetry._first_involution.cache.clear()
-    calls = _count_refinements(monkeypatch)
+    counts = _count_refinements(monkeypatch)
     for c, ref in zip(positions, want):
         rec = grundy(c, EngineConfig(use_reduction=False), TranspositionTable(),
                      full_spectrum=True)
         assert (rec.value, rec.witness_moves) == (ref.value, ref.witness_moves)
-    assert calls[0] == 0
+    assert symmetry._first_involution.cache
+    assert counts["_refiner"] <= counts["canonical_order"]
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
