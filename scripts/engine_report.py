@@ -6,8 +6,11 @@
 Each position is solved for its value alone (no witness move) by the
 engine, with a fresh table, and by the oracle.  Every measurement runs in
 a fresh interpreter, so the analysis caches start empty, as in one
-`graphchomp solve`.  A solver that runs out of its budget is reported as
-exhausted, with the CPU time it spent until then; it never guesses.
+`graphchomp solve`, and its `peak_rss_mb` is that interpreter's peak
+resident set.  An engine measurement also counts the entries the solve
+left in each analysis cache (`cache_entries`).  A solver that runs out of
+its budget is reported as exhausted, with the CPU time it spent until
+then; it never guesses.
 
 Positions: two random graphs where every engine feature is on, `path:60`
 with decomposition alone (above the 16-vertex bound of exact keys), and
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -26,6 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from graphchomp import canon, complexes, symmetry  # noqa: E402
 from graphchomp.engine import (  # noqa: E402
     BudgetExceededError,
     EngineConfig,
@@ -66,7 +71,24 @@ def measure(spec: str, solver: str, toggles: tuple[bool, bool, bool],
             out["exhausted"] = True
         out["nodes"] = sum(len(sub) for sub in memo.values())
     out["cpu_s"] = round(time.process_time() - start, 4)
+    out["peak_rss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    if solver == "engine":
+        out["cache_entries"] = cache_entries()
     return out
+
+
+def cache_entries() -> dict:
+    """Entries held by each analysis cache of this interpreter."""
+    caches = {
+        "view_keys": canon.view_keys,
+        "class_keys": canon.class_keys,
+        "components": complexes.components.cache,
+        "graph_stats": complexes.graph_stats.cache,
+        "canonical_key": canon.canonical_key.cache,
+        "_first_involution": symmetry._first_involution.cache,
+    }
+    return {name: len(cache) for name, cache in caches.items()}
 
 
 def run_child(args: list[str]) -> dict:

@@ -23,18 +23,21 @@ transposition inside the cell is an automorphism) branch on a single
 representative, which keeps cliques and co-cliques cheap.
 
 Keys are computed on dense views: a connected position's faces relabeled
-onto 0..n-1 in label order and sorted.  `view_keys` memoizes them by the
-view.  The key of a view also carries the stable colouring its search
-started from, and `refinement_colors` answers from it, so the involution
-search of a position keyed before runs no refinement of its own and no
-caller hands a colouring on.  A disjoint union is keyed from its parts'
-keys (`union_key`).
+onto 0..n-1 in label order and sorted.  `view_keys` maps a view to the
+pair (class key, stable colouring).  The class key is the one
+`CanonicalKey` of the view's canonical class, interned in `class_keys` by
+its canonical faces, so many views share one key and its digest is
+computed once per class.  The colouring is the one the view's canonical
+search started from, in the view's labels, and `refinement_colors`
+answers from it, so the involution search of a position keyed before runs
+no refinement of its own and no caller hands a colouring on.  A disjoint
+union is keyed from its parts' keys (`union_key`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import (
@@ -55,14 +58,12 @@ class CanonicalizationBoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class CanonicalKey:
-    """A table key.  The key of a connected position, computed from its
-    dense view, also carries the view's stable colouring for
-    refinement_colors: vertex v has colour colors[v].  The colouring takes
-    no part in equality."""
+    """A table key: the digest of the canonical (or labeled) faces.  The
+    key of a connected position is shared by every view of its class; the
+    stable colouring of a view sits next to it in view_keys."""
     digest: bytes
     faces: tuple[int, ...]
     exact: bool = True
-    colors: Optional[bytes] = field(default=None, compare=False, repr=False)
 
 
 def _encode(faces: tuple[int, ...], exact: bool) -> bytes:
@@ -286,36 +287,42 @@ def canonical_order(
     return best
 
 
-# dense view of a connected position -> its canonical key; bounded as the
-# analysis caches are, and holding no complex
-view_keys: dict[tuple[int, ...], CanonicalKey] = {}
+# canonical faces -> the one key of that class, and dense view of a
+# connected position -> (its class key, its stable colouring: vertex v has
+# colour colors[v]); both bounded as the analysis caches are, and holding
+# no complex
+class_keys: dict[tuple[int, ...], CanonicalKey] = {}
+view_keys: dict[tuple[int, ...], tuple[CanonicalKey, bytes]] = {}
 
 
 def _view_key(view: tuple[int, ...]) -> CanonicalKey:
     """The canonical key of a connected position, given as its dense view."""
-    key = view_keys.get(view)
-    if key is None:
+    entry = view_keys.get(view)
+    if entry is None:
         colors = bytearray(view[-1].bit_length())
         # the canonical faces come sorted by mask, so a stable sort by size
         # puts them in (size, mask) order
         faces = tuple(sorted(canonical_order(view, colors), key=int.bit_count))
-        key = CanonicalKey(_encode(faces, exact=True), faces,
-                           colors=bytes(colors))
-        bounded_store(view_keys, view, key)
-    return key
+        key = class_keys.get(faces)
+        if key is None:
+            key = CanonicalKey(_encode(faces, exact=True), faces)
+            bounded_store(class_keys, faces, key)
+        entry = key, bytes(colors)
+        bounded_store(view_keys, view, entry)
+    return entry[0]
 
 
 def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
     """Stable vertex coloring; automorphisms preserve color classes.
 
-    Read off the key of c's dense view when view_keys holds one: its
-    canonical search started from this colouring.
+    Read off c's view entry when view_keys holds one: its canonical search
+    started from this colouring.
     """
     verts = c.vertices()
     view = dense_view(c)
-    key = view_keys.get(view)
-    if key is not None:
-        return dict(zip(verts, key.colors))
+    entry = view_keys.get(view)
+    if entry is not None:
+        return dict(zip(verts, entry[1]))
     stable, _, _ = _refiner(len(verts), [vertices_of(f) for f in view])
     colors = [0] * len(verts)
     for i, cell in enumerate(stable()):

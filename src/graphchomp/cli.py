@@ -245,6 +245,8 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
     summary = {"family": args.family, "checked": checked,
                "failures": failures, "pass": not failures}
+    if args.oracle:
+        summary["oracle_refused"] = refused
     if args.json:
         print(_jdump(summary))
     else:

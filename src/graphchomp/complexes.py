@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from typing import Callable, Iterable, Optional, TypeVar
 
 MAX_GROUND = 64
@@ -29,22 +29,33 @@ def bounded_store(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-def memoize(fn: Callable[..., _T]) -> Callable[..., _T]:
-    """Cache fn(c) by c.faces, emptying the cache when it holds CACHE_SIZE
+def memoize(fn: Optional[Callable[..., _T]] = None, *, per_node: bool = False):
+    """Cache fn(c) by c's faces, emptying the cache when it holds CACHE_SIZE
     entries.
 
-    Keyed on the face set, which is all the cached analyses read, rather than
+    Keyed on the faces, which is all the cached analyses read, rather than
     on the complex, so the cache keeps no complex alive.  A call that raises
     stores nothing.
+
+    A cache the engine asks once per root (`components`, `canonical_key`)
+    keys on the frozenset c.faces: a root's frozenset caches its hash, and
+    the cheap table-answered solves look the root up on every call.  A
+    cache with one entry per engine node (`@memoize(per_node=True)`:
+    `graph_stats`, `_first_involution`) keys on the sorted face tuple
+    instead, so it keeps no node's frozenset alive; the tuple is a fraction
+    of the frozenset's size.
     """
-    cache: dict[frozenset[int], _T] = {}
+    if fn is None:
+        return partial(memoize, per_node=per_node)
+    cache: dict = {}
 
     @wraps(fn)
     def cached(c: "SimplicialComplex") -> _T:
-        result = cache.get(c.faces, _MISS)
+        key = tuple(sorted(c.faces)) if per_node else c.faces
+        result = cache.get(key, _MISS)
         if result is _MISS:
             result = fn(c)
-            bounded_store(cache, c.faces, result)
+            bounded_store(cache, key, result)
         return result
 
     cached.cache = cache
@@ -238,7 +249,7 @@ class GraphStats:
     shape: Optional[PseudotreeShape]
 
 
-@memoize
+@memoize(per_node=True)
 def graph_stats(c: SimplicialComplex) -> GraphStats:
     """Vertex/edge counts, degrees, two-coloring (if bipartite), independent
     cycles, parts (if complete multipartite) and shape (if connected with

@@ -10,7 +10,7 @@ operations.  A position met for the first time is keyed from its dense
 view, its faces relabeled onto 0..n-1 straight from the bitmaps, and a
 SimplicialComplex is built only when the table does not know the key,
 where a closed form or the involution search needs one.  That search
-finds the stable colouring on the view's key through canon, so the
+finds the stable colouring on the view's entry in canon, so the
 engine hands no colouring on.
 """
 
@@ -398,13 +398,10 @@ def _value_from_table(
     """
     if not c.faces:
         return 0
-    # the one split of a solve through the memoized components: the engine
-    # splits every position below the root on its bitmaps
-    parts = components(c) if cfg.use_decomposition else None
     if not table.entries:
         return None
-    if parts is not None:
-        keys = [position_key(p) for p in parts]
+    if cfg.use_decomposition:
+        keys = [position_key(p) for p in components(c)]
     else:
         key = position_key(c)
         if not key.exact and (vm := c.vertex_mask) & (vm + 1):

@@ -194,7 +194,7 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
     yield from backtrack(0)
 
 
-@memoize
+@memoize(per_node=True)
 def _first_involution(c: SimplicialComplex) -> Optional[Involution]:
     """The first valid involution in _valid_involutions order, or None."""
     return next(_valid_involutions(c), None)

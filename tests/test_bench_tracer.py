@@ -45,20 +45,27 @@ def test_traced_solves_reach_every_rule_and_symmetry_function():
 
 
 def test_traced_solves_reach_the_component_walk():
-    # canonical keys split through complexes.components, so the per-layer
-    # complexes.components metrics of a solve with a fresh table are not 0
+    # a solve that may find the root's parts in its table splits the root
+    # through complexes.components, so the per-layer complexes.components
+    # metrics of a second solve on one table are not 0; a fresh table
+    # knows no part, and its solve does not split the root there
     script = (
         f"import json, sys; sys.path.insert(0, {str(SOLVERBENCH)!r})\n"
         "from tracing import Tracer\n"
         "tracer = Tracer().install()\n"
         "from graphchomp import engine, families\n"
-        "engine.grundy(families.wheel(6))\n"
-        "print(tracer.summary()['complexes.components']['calls'])\n"
+        "table = engine.TranspositionTable()\n"
+        "calls = []\n"
+        "for _ in range(2):\n"
+        "    engine.grundy(families.wheel(6), table=table)\n"
+        "    calls.append(tracer.summary()['complexes.components']['calls'])\n"
+        "print(json.dumps(calls))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 0
+    first, second = json.loads(proc.stdout)
+    assert first == 0 and second > 0, (first, second)
 
 
 def test_traced_engine_keys_go_through_position_key():

@@ -24,6 +24,7 @@ from graphchomp.complexes import (
     squeeze,
     vertices_of,
 )
+from graphchomp.engine import TranspositionTable, grundy
 from graphchomp.families import (
     complete,
     complete_npartite,
@@ -356,4 +357,44 @@ def test_views_key_like_their_complexes(pair):
     assert list(colors) == list(_reference_colors(c).values())
     if len(components(c)) == 1:
         key = position_key(view)
-        assert key == position_key(c) and key.colors == colors
+        assert key == position_key(c)
+        assert canon.view_keys[view] == (key, colors)
+
+
+def test_relabelings_share_one_class_key():
+    # two relabelings of one connected graph have two view entries that
+    # hold the same key object, each with the colouring of its own view
+    c = erdos_renyi(8, 0.5, 4)
+    assert len(components(c)) == 1
+    other = relabel(c, dict(zip(range(8), [3, 0, 6, 1, 7, 2, 5, 4])), 8)
+    views = [dense_view(c), dense_view(other)]
+    assert views[0] != views[1]
+    for view in views:
+        canon.view_keys.pop(view, None)
+    keys = [position_key(view) for view in views]
+    assert keys[0] is keys[1]
+    for view, d in zip(views, (c, other)):
+        key, colors = canon.view_keys[view]
+        assert key is keys[0]
+        assert list(colors) == list(_reference_colors(d).values())
+    assert canon.class_keys[keys[0].faces] is keys[0]
+
+
+def test_one_digest_per_canonical_class(monkeypatch):
+    # a seeded loop of solves computes one sha256 per canonical class it
+    # meets, though it keys many more views
+    encoded = []
+    original = canon._encode
+
+    def counted(faces, exact):
+        encoded.append(faces)
+        return original(faces, exact)
+
+    monkeypatch.setattr(canon, "_encode", counted)
+    canon.view_keys.clear()
+    canon.class_keys.clear()
+    for seed in range(6):
+        grundy(erdos_renyi(7, 0.5, seed), table=TranspositionTable())
+    classes = {key.faces for key, _ in canon.view_keys.values()}
+    assert len(encoded) == len(set(encoded)) == len(classes)
+    assert len(classes) < len(canon.view_keys)

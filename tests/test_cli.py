@@ -201,17 +201,28 @@ def test_verify_forests(capsys):
 
 def test_verify_reports_oracle_refusals(capsys, monkeypatch):
     # a refused oracle check is no disagreement, but it is not a check
-    # either: stderr says how many cases went unchecked
+    # either: stderr and the JSON summary say how many cases went unchecked
     argv = ("verify", "forests", "--samples", "3", "--max-v", "6",
             "--oracle", "--json")
     assert main(list(argv)) == 0
     checked = capsys.readouterr()
     assert checked.err == ""
+    assert json.loads(checked.out)["oracle_refused"] == 0
     monkeypatch.setattr(cli, "DEFAULT_ORACLE_BUDGET", 5)
     assert main(list(argv)) == 0
     refused = capsys.readouterr()
-    assert refused.out == checked.out
+    summary = json.loads(refused.out)
+    assert summary["pass"] and summary["checked"] == 3
+    assert summary["oracle_refused"] == 2
     assert refused.err.startswith("oracle refused 2 of 3 cases")
+
+
+def test_verify_json_without_oracle_has_no_refusal_field(capsys):
+    code, out = run_cli(capsys, "verify", "forests", "--samples", "3",
+                        "--max-v", "6", "--json")
+    assert code == 0
+    assert out == ('{"checked":3,"failures":[],"family":"forests",'
+                   '"pass":true}\n')
 
 
 def test_tables_text_and_csv(capsys):

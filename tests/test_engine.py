@@ -222,8 +222,8 @@ def test_interleaved_roots_give_identical_records():
 
 
 def test_context_caches_stay_bounded(monkeypatch):
-    # the key map of a root context, the memo of a solve and canon's memo of
-    # view keys are emptied at CACHE_SIZE entries, as the analysis caches
+    # the key map of a root context, the memo of a solve and canon's memos
+    # of view and class keys are emptied at CACHE_SIZE entries, as the analysis caches
     # are, and emptying them changes no value, witness or statistic;
     # path(18) is above the canonical bound, so its long parts take
     # labeled keys
@@ -234,26 +234,28 @@ def test_context_caches_stay_bounded(monkeypatch):
                 for c, cfg in cases]
     monkeypatch.setattr(complexes, "CACHE_SIZE", 5)
     canon.view_keys.clear()
+    canon.class_keys.clear()
     for (c, cfg), want in zip(cases, expected):
         assert grundy(c, cfg, TranspositionTable(), full_spectrum=True) == want
         solver = engine._Solver(engine._Root(c), cfg, TranspositionTable(), None)
         assert solver.value(solver.root.full) == want.value
         assert len(solver.memo) <= 5 and len(solver.root.keys) <= 5, cfg
         assert len(canon.view_keys) <= 5, cfg
+        assert len(canon.class_keys) <= 5, cfg
 
 
 def _fresh_caches():
-    for cache in (canon.view_keys, canon.canonical_key.cache,
-                  complexes.components.cache):
+    for cache in (canon.view_keys, canon.class_keys,
+                  canon.canonical_key.cache, complexes.components.cache):
         cache.clear()
     engine._last_root = None
 
 
 def test_keyed_parts_fill_only_the_view_memo():
     # each new connected part is keyed from its dense view: one entry in
-    # canon.view_keys, and no complex kept in components.cache; only the
-    # root itself is split through components, and nothing is keyed as a
-    # complex
+    # canon.view_keys, and no complex kept in components.cache; a fresh
+    # table knows no part of the root, so the root is not split through
+    # components either, and nothing is keyed as a complex
     c = erdos_renyi(7, 0.5, 11)
     _fresh_caches()
     grundy(c, EngineConfig(), TranspositionTable(), full_spectrum=True)
@@ -261,8 +263,22 @@ def test_keyed_parts_fill_only_the_view_memo():
     views = {root.view(pos)[0] for pos in root.keys}
     assert len(root.keys) > 30
     assert set(canon.view_keys) == views
-    assert list(complexes.components.cache) == [c.faces]
+    assert not complexes.components.cache
     assert not canon.canonical_key.cache
+
+
+def test_node_memos_keep_no_frozenset():
+    # graph_stats and _first_involution hold one entry per engine node, and
+    # key it on the node's sorted face tuple rather than its frozenset
+    c = erdos_renyi(7, 0.5, 11)
+    _fresh_caches()
+    graph_stats.cache.clear()
+    symmetry._first_involution.cache.clear()
+    grundy(c, EngineConfig(), TranspositionTable(), full_spectrum=True)
+    for cache in (graph_stats.cache, symmetry._first_involution.cache):
+        assert cache
+        for key in cache:
+            assert type(key) is tuple and list(key) == sorted(key)
 
 
 def _count_refinements(monkeypatch) -> dict[str, int]:
