@@ -84,7 +84,6 @@ def cache_entries() -> dict:
         "view_keys": canon.view_keys,
         "class_keys": canon.class_keys,
         "components": complexes.components.cache,
-        "graph_stats": complexes.graph_stats.cache,
         "canonical_key": canon.canonical_key.cache,
         "_first_involution": symmetry._first_involution.cache,
     }

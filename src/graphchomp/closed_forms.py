@@ -237,7 +237,7 @@ def engine_fast_value(
         return 0, "empty"
     if stats is None:
         return None
-    if stats.bipartition is not None:
+    if stats.bipartite:
         if stats.cycle_count == 0:
             return forest_value(stats.v, stats.component_count).value, "forest"
         return bipartite_value(stats.v, stats.e).value, "bipartite"
@@ -261,7 +261,7 @@ def wants_simplest_certificate(
     c: SimplicialComplex, stats: Optional[GraphStats]
 ) -> bool:
     """Cheap test for whether a certified-simplest rule could apply."""
-    if stats is None or stats.bipartition is not None:
+    if stats is None or stats.bipartite:
         return False
     shape = stats.shape
     if shape is None or not shape.odd_cycle:

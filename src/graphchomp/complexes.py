@@ -2,13 +2,13 @@
 
 A position in subset take-away is a downward-closed family of nonempty
 subsets of {0, ..., ground_size-1}.  Faces are stored as integer bitmasks,
-which caps the ground set at 64 vertices.  Every graph class the closed
-forms test is read off the record of graph_stats, the one walk over a graph.
+which caps the ground set at 64 vertices.  A graph is read as neighbour
+rows, one bitmask per vertex (neighbour_rows), and every graph class the
+closed forms test is read off the record graph_stats derives from them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial, wraps
 from typing import Callable, Iterable, Optional, TypeVar
@@ -39,11 +39,11 @@ def memoize(fn: Optional[Callable[..., _T]] = None, *, per_node: bool = False):
 
     A cache the engine asks once per root (`components`, `canonical_key`)
     keys on the frozenset c.faces: a root's frozenset caches its hash, and
-    the cheap table-answered solves look the root up on every call.  A
+    the cheap table-answered solves look the root up on every call.  The
     cache with one entry per engine node (`@memoize(per_node=True)`:
-    `graph_stats`, `_first_involution`) keys on the sorted face tuple
-    instead, so it keeps no node's frozenset alive; the tuple is a fraction
-    of the frozenset's size.
+    `_first_involution`) keys on the sorted face tuple instead, so it keeps
+    no node's frozenset alive; the tuple is a fraction of the frozenset's
+    size.
     """
     if fn is None:
         return partial(memoize, per_node=per_node)
@@ -219,7 +219,20 @@ def components(c: SimplicialComplex) -> list[SimplicialComplex]:
 
 
 def is_graph(c: SimplicialComplex) -> bool:
-    return all(face_size(f) <= 2 for f in c.faces)
+    return max(map(int.bit_count, c.faces), default=0) <= 2
+
+
+def neighbour_rows(faces: Iterable[int], n: int) -> list[int]:
+    """Neighbour bitmasks of the 2-faces, indexed by vertex label 0..n-1;
+    other faces are skipped."""
+    rows = [0] * n
+    for f in faces:
+        if f.bit_count() == 2:
+            low = f & -f
+            high = f ^ low
+            rows[low.bit_length() - 1] |= high
+            rows[high.bit_length() - 1] |= low
+    return rows
 
 
 @dataclass(frozen=True)
@@ -237,141 +250,132 @@ class PseudotreeShape:
     branch_lengths: Optional[tuple[int, int]]
 
 
-@dataclass(frozen=True)
+# Not frozen: every engine node builds one, and the frozen __init__ cost
+# more than the breadth-first walk on small graphs.
+@dataclass
 class GraphStats:
     v: int
     e: int
     degrees: dict[int, int]
-    bipartition: Optional[tuple[frozenset[int], frozenset[int]]]
+    bipartite: bool
     cycle_count: int
     component_count: int
     parts: Optional[list[int]]
     shape: Optional[PseudotreeShape]
 
 
-@memoize(per_node=True)
 def graph_stats(c: SimplicialComplex) -> GraphStats:
-    """Vertex/edge counts, degrees, two-coloring (if bipartite), independent
-    cycles, parts (if complete multipartite) and shape (if connected with
-    one cycle): the only walk over a graph, whose record keeps no sets."""
+    """Vertex/edge counts, degrees, 2-colourability, independent cycles,
+    parts (if complete multipartite) and shape (if connected with one
+    cycle), all read off the neighbour rows."""
     if not is_graph(c):
         raise InvalidInputError("graph statistics requested for a non-graph complex")
-    adj: dict[int, set[int]] = {v: set() for v in c.vertices()}
-    for f in c.faces:
-        if face_size(f) == 2:
-            a, b = vertices_of(f)
-            adj[a].add(b)
-            adj[b].add(a)
-    v = len(adj)
-    e = sum(len(nbrs) for nbrs in adj.values()) // 2
-    degrees = {u: len(nbrs) for u, nbrs in adj.items()}
+    rows = neighbour_rows(c.faces, c.ground_size)
+    vmask = c.vertex_mask
+    verts = vertices_of(vmask)
+    degrees = {u: rows[u].bit_count() for u in verts}
+    v = len(verts)
+    e = sum(degrees.values()) // 2
 
-    color: dict[int, int] = {}
+    # breadth-first layers per component: the graph is 2-colourable exactly
+    # when no edge joins two vertices of one layer
     bipartite = True
     comp_count = 0
-    for start in sorted(adj):
-        if start in color:
-            continue
+    rest = vmask
+    while rest:
         comp_count += 1
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = color[u] ^ 1
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    bipartite = False
+        layer = seen = rest & -rest
+        while layer:
+            reach = 0
+            for u in vertices_of(layer):
+                reach |= rows[u]
+            if reach & layer:
+                bipartite = False
+            layer = reach & ~seen
+            seen |= layer
+        rest &= ~seen
 
-    bipartition = None
-    if bipartite:
-        side0 = frozenset(u for u, s in color.items() if s == 0)
-        side1 = frozenset(u for u, s in color.items() if s == 1)
-        bipartition = (side0, side1)
-
-    # Group vertices by their closed non-neighbourhood (the vertex and every
-    # vertex it is not adjacent to), a superset of the group.  The graph is
-    # complete multipartite exactly when each group equals its key.
-    verts = frozenset(adj)
-    groups = Counter(verts - ns for ns in adj.values())
-    parts = None
-    if adj and all(len(key) == size for key, size in groups.items()):
-        parts = sorted(groups.values())
+    # Each vertex lies in its closed non-neighbourhood (itself and every
+    # vertex it is not adjacent to).  The graph is complete multipartite
+    # exactly when these sets partition the vertices, that is when the
+    # distinct ones are disjoint, and then they are the parts.
+    sizes = [key.bit_count() for key in {vmask & ~rows[u] for u in verts}]
+    parts = sorted(sizes) if verts and sum(sizes) == v else None
     single_cycle = comp_count == 1 and e == v >= 3
-    return GraphStats(v, e, degrees, bipartition, e - v + comp_count, comp_count,
-                      parts, _pseudotree_shape(adj) if single_cycle else None)
+    shape = _pseudotree_shape(rows, vmask, degrees) if single_cycle else None
+    return GraphStats(v, e, degrees, bipartite, e - v + comp_count, comp_count,
+                      parts, shape)
 
 
-def _path_length(adj: dict[int, set[int]], prev: int, cur: int) -> Optional[int]:
+def _path_length(rows: list[int], prev: int, cur: int) -> Optional[int]:
     """Vertex count of the path entered from prev at cur, or None on a fork."""
     length = 1
     while True:
-        nxt = adj[cur] - {prev}
+        nxt = rows[cur] & ~(1 << prev)
         if not nxt:
             return length
-        if len(nxt) > 1:
+        if nxt & (nxt - 1):
             return None
-        prev, cur = cur, next(iter(nxt))
+        prev, cur = cur, nxt.bit_length() - 1
         length += 1
 
 
-def _pseudotree_shape(adj: dict[int, set[int]]) -> PseudotreeShape:
-    """Shape of the connected graph adj with exactly one cycle."""
+def _pseudotree_shape(rows: list[int], vmask: int,
+                      degrees: dict[int, int]) -> PseudotreeShape:
+    """Shape of the connected graph on vmask with exactly one cycle."""
     # strip leaves to expose the unique cycle, the core left behind
-    live = {u: set(ns) for u, ns in adj.items()}
-    queue = [u for u in adj if len(adj[u]) == 1]
-    removed = set()
-    while queue:
-        u = queue.pop()
-        removed.add(u)
-        for w in live[u]:
-            live[w].discard(u)
-            if len(live[w]) == 1 and w not in removed:
-                queue.append(w)
-        live[u] = set()
-    core = [u for u in adj if u not in removed]
+    core = vmask
+    leaves = mask_of(u for u, d in degrees.items() if d == 1)
+    while leaves:
+        core &= ~leaves
+        touched = 0
+        for u in vertices_of(leaves):
+            touched |= rows[u]
+        leaves = mask_of(w for w in vertices_of(touched & core)
+                         if (rows[w] & core).bit_count() == 1)
 
     # order the cycle starting from its smallest vertex
-    start = min(core)
+    start = (core & -core).bit_length() - 1
     cycle = [start]
-    prev, cur = None, start
+    prev, cur = 0, start
     while True:
-        nxt = min(w for w in live[cur] if w != prev)
+        nxt = rows[cur] & core & ~prev
+        nxt = (nxt & -nxt).bit_length() - 1
         if nxt == start:
             break
         cycle.append(nxt)
-        prev, cur = cur, nxt
+        prev, cur = 1 << cur, nxt
 
-    core_set = set(cycle)
-    hairball = all(len(adj[u]) <= 2 for u in adj if u not in core_set)
+    hairball = all(degrees[u] <= 2 for u in vertices_of(vmask & ~core))
 
     tails: Optional[dict[int, tuple[int, ...]]] = None
     if hairball:
         tails = {}
         for a in cycle:
-            lengths = sorted(_path_length(adj, a, w) for w in adj[a] - core_set)
+            lengths = sorted(_path_length(rows, a, w)
+                             for w in vertices_of(rows[a] & ~core))
             if lengths:
                 tails[a] = tuple(lengths)
 
     single = branches = None
-    heavy = [a for a in cycle if len(adj[a]) > 2]
-    if len(heavy) == 1 and len(adj[heavy[0]]) == 3:
+    heavy = [a for a in cycle if degrees[a] > 2]
+    if len(heavy) == 1 and degrees[heavy[0]] == 3:
         a = heavy[0]
-        (b,) = adj[a] - core_set
+        b = (rows[a] & ~core).bit_length() - 1
         single = (a, b)
-        if len(adj[b]) == 3:
-            lengths = [_path_length(adj, b, w) for w in adj[b] - {a}]
+        if degrees[b] == 3:
+            lengths = [_path_length(rows, b, w)
+                       for w in vertices_of(rows[b] & ~(1 << a))]
             if None not in lengths:
                 branches = tuple(sorted(lengths))
 
     return PseudotreeShape(
         cycle_vertices=tuple(cycle),
-        attachment_degrees={a: len(adj[a]) for a in cycle},
+        attachment_degrees={a: degrees[a] for a in cycle},
         tail_profile=tails,
         is_hairball=hairball,
         odd_cycle=len(cycle) % 2 == 1,
-        v=len(adj),
+        v=len(degrees),
         single_attachment=single,
         branch_lengths=branches,
     )
@@ -409,6 +413,9 @@ def dumps_edges(c: SimplicialComplex) -> str:
 
 # number of fields after the keyword, for the keywords that take a fixed number
 _FIELD_COUNTS = {"vertices": 1, "edge": 2, "vertex": 1}
+# the (keyword, format) pairs a line may start with
+_KEYWORDS = {("vertices", "cplx"), ("face", "cplx"),
+             ("vertices", "edges"), ("edge", "edges"), ("vertex", "edges")}
 
 
 def loads_complex(text: str, fmt: str = "cplx") -> SimplicialComplex:
@@ -421,21 +428,21 @@ def loads_complex(text: str, fmt: str = "cplx") -> SimplicialComplex:
         head, *fields = line.split()
         if len(fields) != _FIELD_COUNTS.get(head, len(fields)):
             raise InvalidInputError(f"wrong number of fields: {raw!r}")
+        if (head, fmt) not in _KEYWORDS:
+            raise InvalidInputError(f"unrecognized line: {raw!r}")
+        # bounded before any shift, so a huge label cannot build a huge mask
+        if not all(p.isascii() and p.isdigit() and int(p) <= MAX_GROUND
+                   for p in fields):
+            raise InvalidInputError(f"not an integer in 0..{MAX_GROUND}: {raw!r}")
+        numbers = [int(p) for p in fields]
         if head == "vertices":
             if ground_size is not None:
                 raise InvalidInputError(f"second 'vertices' header: {raw!r}")
-            ground_size = int(fields[0])
-        elif head == "face" and fmt == "cplx":
-            facets.append(mask_of(int(p) for p in fields))
-        elif head == "edge" and fmt == "edges":
-            a, b = int(fields[0]), int(fields[1])
-            if a == b:
-                raise InvalidInputError("self-loop edge")
-            facets.append(mask_of((a, b)))
-        elif head == "vertex" and fmt == "edges":
-            facets.append(mask_of((int(fields[0]),)))
+            ground_size = numbers[0]
+        elif head == "edge" and numbers[0] == numbers[1]:
+            raise InvalidInputError("self-loop edge")
         else:
-            raise InvalidInputError(f"unrecognized line: {raw!r}")
+            facets.append(mask_of(numbers))
     if ground_size is None:
         raise InvalidInputError("missing 'vertices N' header")
     return close_down(facets, ground_size)

@@ -18,9 +18,10 @@ from .canon import refinement_colors
 from .complexes import (
     SimplicialComplex,
     dense_complex,
-    face_size,
+    is_graph,
     mask_of,
     memoize,
+    neighbour_rows,
     vertices_of,
 )
 
@@ -141,16 +142,7 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
     if len(verts) < 2:
         return
     colors = refinement_colors(c)
-    nb = [0] * c.ground_size  # neighbour bitmasks of the edges
-    graph = True
-    for f in c.faces:
-        size = face_size(f)
-        if size == 2:
-            a, b = vertices_of(f)
-            nb[a] |= 1 << b
-            nb[b] |= 1 << a
-        elif size > 2:
-            graph = False
+    nb = neighbour_rows(c.faces, c.ground_size)
 
     mapping: dict[int, int] = {}
 
@@ -168,7 +160,7 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
         if i == len(verts):
             t = Involution.from_mapping(mapping)
             if not t.is_identity() and (
-                    graph or validate_involution(c, mapping)[0]):
+                    is_graph(c) or validate_involution(c, mapping)[0]):
                 yield t
             return
         v = verts[i]

@@ -77,6 +77,13 @@ def test_second_vertices_header_exits_2(capsys, tmp_path):
     assert "second 'vertices' header" in capsys.readouterr().err
 
 
+def test_negative_vertex_count_exits_2(capsys, tmp_path):
+    path = tmp_path / "pos.cplx"
+    path.write_text("vertices -1\n")
+    assert main(["solve", "--input", str(path)]) == 2
+    assert "not an integer in 0..64: 'vertices -1'" in capsys.readouterr().err
+
+
 # every shared flag, with a value where it takes one
 SHARED_FLAGS = {
     "--cache": ["t.json"], "--no-reduction": [], "--no-closed-forms": [],

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from typing import Optional
 
@@ -141,17 +142,23 @@ def test_graph_stats_cycle_plus_tail():
     assert (st_.v, st_.e) == (4, 4)
     assert st_.cycle_count == 1
     assert st_.component_count == 1
-    assert st_.bipartition is None  # odd cycle is not 2-colorable
+    assert not st_.bipartite  # odd cycle is not 2-colorable
 
 
 def test_graph_stats_bipartite():
     c = close_down([mask_of([0, 1]), mask_of([1, 2])], 3)
     st_ = graph_stats(c)
-    assert st_.bipartition is not None
+    assert st_.bipartite
 
 
-# Reference classifiers: the adjacency-based npartite_parts and
-# pseudotree_classify that graph_stats replaced, each with its own walk.
+def test_graph_stats_rejects_a_non_graph():
+    with pytest.raises(InvalidInputError):
+        graph_stats(close_down([mask_of([0, 1, 2])], 3))
+
+
+# Reference classifiers on a dict-of-sets adjacency, each with its own
+# walk: the counts, the 2-colouring, npartite_parts and pseudotree_classify
+# that graph_stats derives from neighbour rows.
 
 
 def _reference_adjacency(c: SimplicialComplex) -> dict[int, set[int]]:
@@ -163,6 +170,33 @@ def _reference_adjacency(c: SimplicialComplex) -> dict[int, set[int]]:
             adj[a].add(b)
             adj[b].add(a)
     return adj
+
+
+def _reference_stats(c: SimplicialComplex) -> tuple:
+    """(v, e, degrees, bipartite, cycle_count, component_count) of a graph,
+    by a depth-first 2-colouring of each component."""
+    adj = _reference_adjacency(c)
+    color: dict[int, int] = {}
+    bipartite = True
+    comps = 0
+    for start in sorted(adj):
+        if start in color:
+            continue
+        comps += 1
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in color:
+                    color[w] = color[u] ^ 1
+                    stack.append(w)
+                elif color[w] == color[u]:
+                    bipartite = False
+    v = len(adj)
+    e = sum(len(ns) for ns in adj.values()) // 2
+    degrees = {u: len(ns) for u, ns in adj.items()}
+    return v, e, degrees, bipartite, e - v + comps, comps
 
 
 def _reference_npartite_parts(c: SimplicialComplex) -> Optional[list[int]]:
@@ -194,8 +228,8 @@ def _reference_pseudotree_classify(
         c: SimplicialComplex) -> Optional[PseudotreeShape]:
     if not is_graph(c) or not c.faces:
         return None
-    stats = graph_stats(c)
-    if stats.component_count != 1 or stats.e != stats.v or stats.v < 3:
+    v, e, _, _, _, comps = _reference_stats(c)
+    if comps != 1 or e != v or v < 3:
         return None
     adj = _reference_adjacency(c)
 
@@ -259,7 +293,7 @@ def _reference_pseudotree_classify(
         tail_profile=tails,
         is_hairball=hairball,
         odd_cycle=len(cycle) % 2 == 1,
-        v=stats.v,
+        v=v,
         single_attachment=single,
         branch_lengths=branches,
     )
@@ -274,6 +308,24 @@ def _forest_pseudotrees(draw):
     trees = st.integers(1, 4).flatmap(lambda n: st.sampled_from(rooted_trees(n)))
     forests = draw(st.lists(st.lists(trees, max_size=2), max_size=size))
     return forest_pseudotree(size, forests)
+
+
+@st.composite
+def _relabeled_graphs(draw):
+    """gmk(m, k, cycle) scan grid points (m + k <= 14) and hairballs, up to
+    63 vertices, moved by a seeded permutation onto a larger ground set, so
+    their labels have gaps."""
+    c = draw(st.one_of(
+        st.integers(0, 14).flatmap(lambda m: st.builds(
+            gmk, st.just(m), st.integers(0, 14 - m), st.sampled_from([3, 5, 7]))),
+        _cycle_sizes.flatmap(lambda size: st.builds(
+            hairball, st.just(size),
+            st.lists(st.lists(st.integers(1, 4), max_size=2), max_size=size))),
+    ))
+    width = draw(st.integers(c.ground_size + 1, 64))
+    labels = random.Random(draw(st.integers(0, 2**32))).sample(
+        range(width), c.ground_size)
+    return relabel(c, dict(enumerate(labels)), width)
 
 
 _classified_graphs = st.one_of(
@@ -292,14 +344,16 @@ _classified_graphs = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_classified_graphs, small_complexes()))
+@given(st.one_of(_classified_graphs, _relabeled_graphs(), small_complexes()))
 def test_classifiers_match_the_reference(c):
-    # graph_stats derives parts and shape in its one walk; the public
+    # graph_stats derives every field from neighbour rows; the public
     # classifiers read them and must answer as the separate walks did
     assert npartite_parts(c) == _reference_npartite_parts(c)
     assert pseudotree_classify(c) == _reference_pseudotree_classify(c)
     if is_graph(c):
         stats = graph_stats(c)
+        assert (stats.v, stats.e, stats.degrees, stats.bipartite,
+                stats.cycle_count, stats.component_count) == _reference_stats(c)
         assert stats.parts == _reference_npartite_parts(c)
         assert stats.shape == _reference_pseudotree_classify(c)
 
@@ -334,6 +388,12 @@ def test_cplx_rejects_unrecognized_lines():
         loads_complex("vertices 3\n0 1\n", "cplx")
     with pytest.raises(InvalidInputError):
         loads_complex("face 0 1\n", "cplx")  # missing header
+    for text in ("vertices -1\n", "vertices x\n", "vertices 65\n",
+                 "vertices 3\nface 0 -1\n", "vertices 3\nface 0 100\n"):
+        with pytest.raises(InvalidInputError, match="not an integer in 0..64"):
+            loads_complex(text, "cplx")
+    with pytest.raises(InvalidInputError, match="edge 0 y"):
+        loads_complex("vertices 3\nedge 0 y\n", "edges")
 
 
 def test_second_vertices_header_refused():
@@ -349,7 +409,7 @@ def test_ground_set_cap():
 
 
 def test_memoized_caches_stay_bounded(monkeypatch):
-    cached_fns = (components, graph_stats, canonical_key, _first_involution)
+    cached_fns = (components, canonical_key, _first_involution)
     positions = [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 8)]
     positions += [wheel(5), erdos_renyi(6, 0.5, 1)]
     expected = {fn: [fn.__wrapped__(c) for c in positions] for fn in cached_fns}

@@ -268,17 +268,16 @@ def test_keyed_parts_fill_only_the_view_memo():
 
 
 def test_node_memos_keep_no_frozenset():
-    # graph_stats and _first_involution hold one entry per engine node, and
-    # key it on the node's sorted face tuple rather than its frozenset
+    # _first_involution holds one entry per engine node, and keys it on the
+    # node's sorted face tuple rather than its frozenset
     c = erdos_renyi(7, 0.5, 11)
     _fresh_caches()
-    graph_stats.cache.clear()
     symmetry._first_involution.cache.clear()
     grundy(c, EngineConfig(), TranspositionTable(), full_spectrum=True)
-    for cache in (graph_stats.cache, symmetry._first_involution.cache):
-        assert cache
-        for key in cache:
-            assert type(key) is tuple and list(key) == sorted(key)
+    cache = symmetry._first_involution.cache
+    assert cache
+    for key in cache:
+        assert type(key) is tuple and list(key) == sorted(key)
 
 
 def _count_refinements(monkeypatch) -> dict[str, int]:

@@ -43,7 +43,7 @@ def test_npartite_counts():
     c = complete_npartite([2, 3])
     assert _counts(c) == {1: 5, 2: 6}
     st = graph_stats(c)
-    assert st.bipartition is not None
+    assert st.bipartite
 
 
 def test_path_cycle_wheel():
