@@ -85,7 +85,7 @@ def cache_entries() -> dict:
         "class_keys": canon.class_keys,
         "components": complexes.components.cache,
         "canonical_key": canon.canonical_key.cache,
-        "_first_involution": symmetry._first_involution.cache,
+        "find_reduction": symmetry._first_involution.cache,
     }
     return {name: len(cache) for name, cache in caches.items()}
 

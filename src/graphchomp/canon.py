@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from .complexes import (
@@ -312,14 +314,15 @@ def _view_key(view: tuple[int, ...]) -> CanonicalKey:
     return entry[0]
 
 
-def refinement_colors(c: SimplicialComplex) -> dict[int, int]:
-    """Stable vertex coloring; automorphisms preserve color classes.
-
-    Read off c's view entry when view_keys holds one: its canonical search
-    started from this colouring.
+def refinement_colors(c: SimplicialComplex | tuple[int, ...]) -> dict[int, int]:
+    """Stable vertex coloring of c, a complex or its sorted face tuple;
+    automorphisms preserve color classes.  Read off c's view entry when
+    view_keys holds one: its canonical search started from this colouring.
     """
-    verts = c.vertices()
-    view = dense_view(c)
+    faces = c if type(c) is tuple else sorted(c.faces)
+    vmask = reduce(or_, faces, 0)
+    verts = vertices_of(vmask)
+    view = tuple(squeeze(faces, vmask))  # c itself when c is a dense view
     entry = view_keys.get(view)
     if entry is not None:
         return dict(zip(verts, entry[1]))

@@ -321,7 +321,8 @@ def _parse_move(line: str, c: SimplicialComplex) -> int:
     verts = [int(tok) for tok in line.replace(",", " ").split()]
     if not verts:
         raise ValueError("empty move")
-    mask = mask_of(verts)
+    # labels are bounded before any shift; 0 is never a face
+    mask = mask_of(verts) if all(0 <= v < c.ground_size for v in verts) else 0
     if mask not in c.faces:
         raise IllegalMoveError(f"{verts} is not a face")
     return mask
@@ -512,7 +513,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (InvalidInputError, FileNotFoundError, ValueError) as exc:
+    except (InvalidInputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetExceededError, TableCapacityError, OracleBudgetError) as exc:

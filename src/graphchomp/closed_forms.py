@@ -91,7 +91,7 @@ def pseudotree_classify(c: SimplicialComplex) -> Optional[PseudotreeShape]:
 
 
 def single_attachment_value(
-    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None
+    c: SimplicialComplex | tuple[int, ...], shape: Optional[PseudotreeShape] = None
 ) -> FormulaResult:
     """Odd cycle joined to one tree by an edge, in simplest form.
 
@@ -105,7 +105,7 @@ def single_attachment_value(
         return _na()
     _, b = shape.single_attachment
     # B lies in its edges and its singleton: an even count is an odd degree
-    if sum(f >> b & 1 for f in c.faces) % 2 == 0:
+    if sum(f >> b & 1 for f in (c if type(c) is tuple else c.faces)) % 2 == 0:
         return FormulaResult(LOWER_BOUND, 4, "odd-pseudotree-single-attachment")
     value = 3 if shape.v % 2 else 0
     return FormulaResult(EXACT, value, "odd-pseudotree-single-attachment")
@@ -170,7 +170,7 @@ def gmk_recurrence(m: int, k: int, memo: Optional[dict] = None) -> int:
 
 
 def hairball_value(
-    c: SimplicialComplex, shape: Optional[PseudotreeShape] = None
+    c: SimplicialComplex | tuple[int, ...], shape: Optional[PseudotreeShape] = None
 ) -> FormulaResult:
     """Odd-cycle hairball in simplest form (not a bare cycle).
 
@@ -226,14 +226,14 @@ def theta_value(c: SimplicialComplex) -> FormulaResult:
     return FormulaResult(EXACT, 1 if stats.v % 2 else 2, "theta")
 
 
-# --- engine fast paths ------------------------------------------------------
+# --- engine fast paths: c is a complex or its sorted face tuple -------------
 
 
 def engine_fast_value(
-    c: SimplicialComplex, stats: Optional[GraphStats]
+    c: SimplicialComplex | tuple[int, ...], stats: Optional[GraphStats]
 ) -> Optional[tuple[int, str]]:
     """Exact closed form needing no simplest-form certificate, or None."""
-    if not c.faces:
+    if not (c if type(c) is tuple else c.faces):
         return 0, "empty"
     if stats is None:
         return None
@@ -258,7 +258,7 @@ def engine_fast_value(
 
 
 def wants_simplest_certificate(
-    c: SimplicialComplex, stats: Optional[GraphStats]
+    c: SimplicialComplex | tuple[int, ...], stats: Optional[GraphStats]
 ) -> bool:
     """Cheap test for whether a certified-simplest rule could apply."""
     if stats is None or stats.bipartite:
@@ -270,7 +270,7 @@ def wants_simplest_certificate(
 
 
 def engine_certified_value(
-    c: SimplicialComplex, stats: Optional[GraphStats]
+    c: SimplicialComplex | tuple[int, ...], stats: Optional[GraphStats]
 ) -> Optional[tuple[int, str]]:
     """Exact hairball or single-attachment value for a simplest-form
     position, or None."""

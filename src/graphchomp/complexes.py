@@ -10,7 +10,8 @@ closed forms test is read off the record graph_stats derives from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, reduce, wraps
+from operator import or_
 from typing import Callable, Iterable, Optional, TypeVar
 
 MAX_GROUND = 64
@@ -29,29 +30,23 @@ def bounded_store(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-def memoize(fn: Optional[Callable[..., _T]] = None, *, per_node: bool = False):
+def memoize(fn: Callable[..., _T]) -> Callable[..., _T]:
     """Cache fn(c) by c's faces, emptying the cache when it holds CACHE_SIZE
     entries.
 
-    Keyed on the faces, which is all the cached analyses read, rather than
-    on the complex, so the cache keeps no complex alive.  A call that raises
+    c is a complex, keyed on its frozenset c.faces, or a sorted face tuple
+    (an engine node's dense view), keyed on itself; either way the cache
+    keeps no complex alive.  The caches the engine asks once per root
+    (`components`, `canonical_key`) get the root, whose frozenset caches its
+    hash; the one with an entry per engine node (`_first_involution`) gets
+    the node's view, a fraction of a frozenset's size.  A call that raises
     stores nothing.
-
-    A cache the engine asks once per root (`components`, `canonical_key`)
-    keys on the frozenset c.faces: a root's frozenset caches its hash, and
-    the cheap table-answered solves look the root up on every call.  The
-    cache with one entry per engine node (`@memoize(per_node=True)`:
-    `_first_involution`) keys on the sorted face tuple instead, so it keeps
-    no node's frozenset alive; the tuple is a fraction of the frozenset's
-    size.
     """
-    if fn is None:
-        return partial(memoize, per_node=per_node)
     cache: dict = {}
 
     @wraps(fn)
-    def cached(c: "SimplicialComplex") -> _T:
-        key = tuple(sorted(c.faces)) if per_node else c.faces
+    def cached(c: "SimplicialComplex | tuple[int, ...]") -> _T:
+        key = c if type(c) is tuple else c.faces
         result = cache.get(key, _MISS)
         if result is _MISS:
             result = fn(c)
@@ -218,8 +213,8 @@ def components(c: SimplicialComplex) -> list[SimplicialComplex]:
     ]
 
 
-def is_graph(c: SimplicialComplex) -> bool:
-    return max(map(int.bit_count, c.faces), default=0) <= 2
+def is_graph(c: SimplicialComplex | tuple[int, ...]) -> bool:
+    return max(map(int.bit_count, c if type(c) is tuple else c.faces), default=0) <= 2
 
 
 def neighbour_rows(faces: Iterable[int], n: int) -> list[int]:
@@ -264,14 +259,15 @@ class GraphStats:
     shape: Optional[PseudotreeShape]
 
 
-def graph_stats(c: SimplicialComplex) -> GraphStats:
+def graph_stats(c: SimplicialComplex | tuple[int, ...]) -> GraphStats:
     """Vertex/edge counts, degrees, 2-colourability, independent cycles,
     parts (if complete multipartite) and shape (if connected with one
-    cycle), all read off the neighbour rows."""
+    cycle), all read off the neighbour rows of c, a complex or its faces."""
     if not is_graph(c):
         raise InvalidInputError("graph statistics requested for a non-graph complex")
-    rows = neighbour_rows(c.faces, c.ground_size)
-    vmask = c.vertex_mask
+    faces = c if type(c) is tuple else c.faces
+    vmask = reduce(or_, faces, 0)
+    rows = neighbour_rows(faces, vmask.bit_length())
     verts = vertices_of(vmask)
     degrees = {u: rows[u].bit_count() for u in verts}
     v = len(verts)

@@ -7,11 +7,12 @@ Witness optimal moves are reported for the whole, undecomposed position.
 Inside a solve a position is an int bitmap over the root's sorted faces
 (see _Root): a move, a component and the fixed set of a reduction are bit
 operations.  A position met for the first time is keyed from its dense
-view, its faces relabeled onto 0..n-1 straight from the bitmaps, and a
-SimplicialComplex is built only when the table does not know the key,
-where a closed form or the involution search needs one.  That search
-finds the stable colouring on the view's entry in canon, so the
-engine hands no colouring on.
+view, its faces relabeled onto 0..n-1 straight from the bitmaps, as a
+sorted tuple.  When the table does not know the key, the closed forms and
+the involution search read that same view; no complex is built for a
+node, and the fixed set of a reduction is the position without the stars
+of the moved vertices.  The involution search finds the stable colouring
+on the view's entry in canon, so the engine hands no colouring on.
 """
 
 from __future__ import annotations
@@ -351,26 +352,25 @@ class _Solver:
             raise BudgetExceededError("node budget exceeded", self.table.stats())
         if view is None:  # keyed before, perhaps under another configuration
             view, vmask = root.view(pos)
-        c = SimplicialComplex(vmask.bit_count(), frozenset(view))
 
         stats = None
         if self.cfg.use_closed_forms:
-            stats = None if pos & root.big else graph_stats(c)
-            hit = engine_fast_value(c, stats)
+            stats = None if pos & root.big else graph_stats(view)
+            hit = engine_fast_value(view, stats)
             if hit is not None:
                 value = hit[0]
 
         if value is None and self.cfg.use_reduction:
-            reduction = find_reduction(c)
-            if reduction is not None:
+            involution = find_reduction(view)
+            if involution is not None:
                 verts = vertices_of(vmask)
                 moved = 0
-                for a, b in reduction[0].pairs:
+                for a, b in involution.pairs:
                     moved |= root.star[verts[a]] | root.star[verts[b]]
                 value = self.value(pos & ~moved)
         if value is None and self.cfg.use_closed_forms and \
-                wants_simplest_certificate(c, stats):
-            hit = engine_certified_value(c, stats)
+                wants_simplest_certificate(view, stats):
+            hit = engine_certified_value(view, stats)
             if hit is not None:
                 value = hit[0]
 

@@ -12,6 +12,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .complexes import (
+    MAX_GROUND,
     InvalidInputError,
     SimplicialComplex,
     close_down,
@@ -35,8 +36,16 @@ def _edge(a: int, b: int) -> int:
     return mask_of((a, b))
 
 
+def _check_size(n: int) -> None:
+    """Refuse more than MAX_GROUND vertices before any edge or face is made."""
+    if n > MAX_GROUND:
+        raise InvalidInputError(f"{n} vertices exceed the limit of {MAX_GROUND}")
+
+
 def graph_complex(n: int, edges: Iterable[tuple[int, int]]) -> SimplicialComplex:
-    """Graph position: all n vertices plus the given edges."""
+    """Graph position: all n vertices plus the given edges, which are read
+    only once n is known to fit."""
+    _check_size(n)
     facets = [1 << v for v in range(n)]
     facets.extend(_edge(a, b) for a, b in edges)
     return close_down(facets, n)
@@ -45,7 +54,7 @@ def graph_complex(n: int, edges: Iterable[tuple[int, int]]) -> SimplicialComplex
 def complete(n: int) -> SimplicialComplex:
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
-    return graph_complex(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return graph_complex(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_npartite(parts: list[int]) -> SimplicialComplex:
@@ -56,32 +65,27 @@ def complete_npartite(parts: list[int]) -> SimplicialComplex:
     for p in parts:
         bounds.append(range(start, start + p))
         start += p
-    edges = []
-    for i, gi in enumerate(bounds):
-        for gj in bounds[i + 1:]:
-            edges.extend((a, b) for a in gi for b in gj)
-    return graph_complex(start, edges)
+    return graph_complex(start, ((a, b) for i, gi in enumerate(bounds)
+                                 for gj in bounds[i + 1:] for a in gi for b in gj))
 
 
 def path(n: int) -> SimplicialComplex:
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
-    return graph_complex(n, [(i, i + 1) for i in range(n - 1)])
+    return graph_complex(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> SimplicialComplex:
     if n < 3:
         raise InvalidInputError("cycle needs at least 3 vertices")
-    return graph_complex(n, [(i, (i + 1) % n) for i in range(n)])
+    return graph_complex(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def wheel(n: int) -> SimplicialComplex:
     """n-cycle plus a hub adjacent to every cycle vertex."""
     if n < 3:
         raise InvalidInputError("wheel needs a cycle of at least 3")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges.extend((i, n) for i in range(n))
-    return graph_complex(n + 1, edges)
+    return graph_complex(n + 1, ((i, j) for i in range(n) for j in ((i + 1) % n, n)))
 
 
 def gmk(m: int, k: int, cycle_size: int = 3) -> SimplicialComplex:
@@ -91,6 +95,7 @@ def gmk(m: int, k: int, cycle_size: int = 3) -> SimplicialComplex:
         raise InvalidInputError("cycle size must be odd and >= 3")
     if m < 0 or k < 0:
         raise InvalidInputError("tail lengths must be >= 0")
+    _check_size(cycle_size + 1 + m + k)
     c = cycle_size
     edges = [(i, (i + 1) % c) for i in range(c)]
     b = c  # A is vertex 0, B is vertex c
@@ -111,6 +116,7 @@ def hairball(cycle_size: int, tails: list[list[int]]) -> SimplicialComplex:
         raise InvalidInputError("cycle size must be >= 3")
     if len(tails) > cycle_size or any(t < 1 for ts in tails for t in ts):
         raise InvalidInputError("bad tail specification")
+    _check_size(cycle_size + sum(map(sum, tails)))
     edges = [(i, (i + 1) % cycle_size) for i in range(cycle_size)]
     nxt = cycle_size
     for pos, lengths in enumerate(tails):
@@ -127,6 +133,7 @@ def figure8(a: int, b: int) -> SimplicialComplex:
     """Two cycles of sizes a and b sharing one vertex."""
     if a < 3 or b < 3:
         raise InvalidInputError("cycle sizes must be >= 3")
+    _check_size(a + b - 1)
     edges = [(i, (i + 1) % a) for i in range(a)]
     ring = [0] + list(range(a, a + b - 1))
     edges.extend((ring[i], ring[(i + 1) % b]) for i in range(b))
@@ -138,6 +145,7 @@ def theta(p: int, q: int, r: int) -> SimplicialComplex:
     and r internal vertices."""
     if min(p, q, r) < 0 or sorted((p, q, r))[1] < 1:
         raise InvalidInputError("at most one path may be a bare edge")
+    _check_size(2 + p + q + r)
     hub_a, hub_b = 0, 1
     edges = []
     nxt = 2
@@ -190,13 +198,13 @@ def random_tree(n: int, seed: int) -> SimplicialComplex:
     if n < 1:
         raise InvalidInputError("tree needs at least 1 vertex")
     rng = random.Random(seed)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    return graph_complex(n, edges)
+    return graph_complex(n, ((rng.randrange(v), v) for v in range(1, n)))
 
 
 def random_forest(n: int, seed: int, new_component_prob: float = 0.3) -> SimplicialComplex:
     if n < 1:
         raise InvalidInputError("forest needs at least 1 vertex")
+    _check_size(n)
     rng = random.Random(seed)
     edges = []
     for v in range(1, n):
@@ -209,6 +217,7 @@ def random_pseudotree(cycle_size: int, extra: int, seed: int) -> SimplicialCompl
     """Cycle plus `extra` tree vertices attached at random points."""
     if cycle_size < 3 or extra < 0:
         raise InvalidInputError("bad pseudotree parameters")
+    _check_size(cycle_size + extra)
     rng = random.Random(seed)
     n = cycle_size
     edges = [(i, (i + 1) % n) for i in range(n)]
@@ -221,27 +230,18 @@ def erdos_renyi(n: int, p: float, seed: int) -> SimplicialComplex:
     if n < 0 or not 0 <= p <= 1:
         raise InvalidInputError("bad random graph parameters")
     rng = random.Random(seed)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < p
-    ]
-    return graph_complex(n, edges)
+    return graph_complex(n, ((i, j) for i in range(n) for j in range(i + 1, n)
+                             if rng.random() < p))
 
 
 def random_bipartite(n: int, p: float, seed: int) -> SimplicialComplex:
     if n < 0 or not 0 <= p <= 1:
         raise InvalidInputError("bad random graph parameters")
+    _check_size(n)
     rng = random.Random(seed)
     side = [rng.randrange(2) for _ in range(n)]
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if side[i] != side[j] and rng.random() < p
-    ]
-    return graph_complex(n, edges)
+    return graph_complex(n, ((i, j) for i in range(n) for j in range(i + 1, n)
+                             if side[i] != side[j] and rng.random() < p))
 
 
 def random_complex(n: int, seed: int, facet_count: Optional[int] = None,
@@ -249,6 +249,7 @@ def random_complex(n: int, seed: int, facet_count: Optional[int] = None,
     """Random downward closure of a few small facets on n vertices."""
     if n < 1:
         raise InvalidInputError("need at least 1 vertex")
+    _check_size(n)
     rng = random.Random(seed)
     count = facet_count if facet_count is not None else rng.randint(2, 4)
     facets = [1 << v for v in range(n)]
@@ -263,8 +264,10 @@ def attach_tail(c: SimplicialComplex, vertex: int, k: int) -> SimplicialComplex:
     """Append a k-tail (path of k new vertices) hanging from `vertex`."""
     if k < 0:
         raise InvalidInputError("tail length must be >= 0")
-    if not c.has_face(1 << vertex):
+    # bounded before any shift, so a negative or huge label cannot shift
+    if not (0 <= vertex < c.ground_size and c.has_face(1 << vertex)):
         raise InvalidInputError(f"attach point {vertex} is not in the position")
+    _check_size(c.ground_size + k)
     if k == 0:
         return c
     facets = list(c.faces)

@@ -81,15 +81,16 @@ class ReductionTrace:
 
 
 def validate_involution(
-    c: SimplicialComplex, t: "Involution | dict[int, int]"
+    c: SimplicialComplex | frozenset[int], t: "Involution | dict[int, int]"
 ) -> tuple[bool, Optional[str]]:
     """Check order 2, face preservation, and that the fixed set is a complex.
 
-    Accepts a raw vertex mapping as well, so non-involutions can be rejected
-    with a reason instead of failing to construct.
+    c is a complex or its face set.  Accepts a raw vertex mapping as well,
+    so non-involutions can be rejected with a reason instead of failing.
     """
     mapping = t if isinstance(t, dict) else t.mapping
-    verts = set(c.vertices())
+    faces = c.faces if isinstance(c, SimplicialComplex) else c
+    verts = set(vertices_of(reduce(or_, faces, 0)))
     if set(mapping) != verts or set(mapping.values()) != verts:
         raise ValueError("involution must permute exactly the complex's vertices")
     for v, w in mapping.items():
@@ -97,9 +98,9 @@ def validate_involution(
             return False, "not-order-2"
     moved = mask_of(v for v, w in mapping.items() if v != w)
     fixed_set_ok = True
-    for f in c.faces:
+    for f in faces:
         image = mask_of(mapping[v] for v in vertices_of(f))
-        if image not in c.faces:
+        if image not in faces:
             return False, "not-face-preserving"
         if image == f and f & moved:
             fixed_set_ok = False
@@ -123,8 +124,13 @@ def _fixed_subcomplex(c: SimplicialComplex, t: Involution) -> SimplicialComplex:
     return dense_complex(faces, reduce(or_, faces, 0))
 
 
-def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
-    """All valid non-identity involutions, via backtracking over color classes.
+def _sorted_faces(c: SimplicialComplex | tuple[int, ...]) -> tuple[int, ...]:
+    return c if type(c) is tuple else tuple(sorted(c.faces))
+
+
+def _valid_involutions(c: SimplicialComplex | tuple[int, ...]) -> Iterator[Involution]:
+    """All valid non-identity involutions of c, a complex or its sorted face
+    tuple, in c's labels, via backtracking over color classes.
 
     Order: each vertex in ascending label order tries every unassigned
     partner of its own refinement color in ascending order, and being fixed
@@ -138,11 +144,14 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
     swapped, so every setwise-fixed face is pointwise fixed.  Other
     candidates are yielded only if validate_involution accepts them.
     """
-    verts = sorted(c.vertices())
+    faces = _sorted_faces(c)
+    vmask = reduce(or_, faces, 0)
+    verts = vertices_of(vmask)
     if len(verts) < 2:
         return
-    colors = refinement_colors(c)
-    nb = neighbour_rows(c.faces, c.ground_size)
+    colors = refinement_colors(faces)
+    nb = neighbour_rows(faces, vmask.bit_length())
+    face_set = None if is_graph(faces) else frozenset(faces)  # see above
 
     mapping: dict[int, int] = {}
 
@@ -160,7 +169,7 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
         if i == len(verts):
             t = Involution.from_mapping(mapping)
             if not t.is_identity() and (
-                    is_graph(c) or validate_involution(c, mapping)[0]):
+                    not face_set or validate_involution(face_set, mapping)[0]):
                 yield t
             return
         v = verts[i]
@@ -186,24 +195,23 @@ def _valid_involutions(c: SimplicialComplex) -> Iterator[Involution]:
     yield from backtrack(0)
 
 
-@memoize(per_node=True)
-def _first_involution(c: SimplicialComplex) -> Optional[Involution]:
+@memoize
+def _first_involution(faces: tuple[int, ...]) -> Optional[Involution]:
     """The first valid involution in _valid_involutions order, or None."""
-    return next(_valid_involutions(c), None)
+    return next(_valid_involutions(faces), None)
 
 
-def find_reduction(
-    c: SimplicialComplex,
-) -> Optional[tuple[Involution, SimplicialComplex]]:
-    """The first valid involution (see _valid_involutions) and its fixed set,
-    or None when c is in simplest form."""
-    t = _first_involution(c)
-    return None if t is None else (t, _fixed_subcomplex(c, t))
+def find_reduction(c: SimplicialComplex | tuple[int, ...]) -> Optional[Involution]:
+    """The first valid involution of c (see _valid_involutions) in c's labels,
+    or None when c is in simplest form.  c is a complex or its sorted face
+    tuple, such as an engine node's dense view; the search is memoized on
+    that tuple.  The reduced position is its fixed set (fixed_point_set)."""
+    return _first_involution(_sorted_faces(c))
 
 
-def is_simplest_form(c: SimplicialComplex) -> bool:
-    """True when no valid non-identity involution exists."""
-    return _first_involution(c) is None
+def is_simplest_form(c: SimplicialComplex | tuple[int, ...]) -> bool:
+    """True when no valid non-identity involution exists (c as in find_reduction)."""
+    return _first_involution(_sorted_faces(c)) is None
 
 
 def reduce_to_simplest(
@@ -218,9 +226,9 @@ def reduce_to_simplest(
         if len(steps) >= limit:
             complete = is_simplest_form(pos)
             break
-        found = find_reduction(pos)
-        if found is None:
+        t = find_reduction(pos)
+        if t is None:
             break
-        t, pos = found
+        pos = _fixed_subcomplex(pos, t)
         steps.append(t)
     return pos, ReductionTrace(tuple(steps), complete)

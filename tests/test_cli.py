@@ -84,6 +84,28 @@ def test_negative_vertex_count_exits_2(capsys, tmp_path):
     assert "not an integer in 0..64: 'vertices -1'" in capsys.readouterr().err
 
 
+def test_directory_as_input_or_cache_exits_2(capsys, tmp_path):
+    # an OSError other than a missing file is a usage error too, not the
+    # exit 1 of a verification failure
+    assert main(["solve", "--input", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["solve", "--family", "path:3", "--cache", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_attach_label_checked_before_any_shift(capsys):
+    for attach in ("-1", "65"):
+        assert main(["scan", "tails", "--base", "gmk:1,2",
+                     "--attach", attach]) == 2
+        assert f"attach point {attach} is not in the position" in \
+            capsys.readouterr().err
+
+
+def test_family_size_checked_before_any_build(capsys):
+    assert main(["solve", "--family", "path:65"]) == 2
+    assert "65 vertices exceed the limit of 64" in capsys.readouterr().err
+
+
 # every shared flag, with a value where it takes one
 SHARED_FLAGS = {
     "--cache": ["t.json"], "--no-reduction": [], "--no-closed-forms": [],
@@ -363,4 +385,12 @@ def test_play_illegal_move_reprompts():
                         stdin="5\n0\n")
     assert r.returncode == 0
     assert b"illegal move" in r.stdout
+    assert b"human made the last move" in r.stdout
+
+
+def test_play_move_labels_checked_before_any_shift():
+    r = _run_subprocess("play", "--family", "path:1", stdin="-1\n65\n0\n")
+    assert r.returncode == 0
+    assert b"illegal move ([-1] is not a face)" in r.stdout
+    assert b"illegal move ([65] is not a face)" in r.stdout
     assert b"human made the last move" in r.stdout

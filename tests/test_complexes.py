@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphchomp import complexes
-from graphchomp.canon import canonical_key
+from graphchomp.canon import canonical_key, dense_view
 from graphchomp.closed_forms import (
     PseudotreeShape,
     npartite_parts,
@@ -347,15 +347,23 @@ _classified_graphs = st.one_of(
 @given(st.one_of(_classified_graphs, _relabeled_graphs(), small_complexes()))
 def test_classifiers_match_the_reference(c):
     # graph_stats derives every field from neighbour rows; the public
-    # classifiers read them and must answer as the separate walks did
-    assert npartite_parts(c) == _reference_npartite_parts(c)
-    assert pseudotree_classify(c) == _reference_pseudotree_classify(c)
+    # classifiers read them and must answer as the separate walks did, on
+    # the complex and on its sorted face tuple alike
+    faces = tuple(sorted(c.faces))
+    for form in (c, faces):
+        assert npartite_parts(form) == _reference_npartite_parts(c)
+        assert pseudotree_classify(form) == _reference_pseudotree_classify(c)
     if is_graph(c):
         stats = graph_stats(c)
         assert (stats.v, stats.e, stats.degrees, stats.bipartite,
                 stats.cycle_count, stats.component_count) == _reference_stats(c)
         assert stats.parts == _reference_npartite_parts(c)
         assert stats.shape == _reference_pseudotree_classify(c)
+        # the labels of c may have gaps; its dense view is read in the
+        # labels of the densely relabeled complex
+        assert graph_stats(faces) == stats
+        assert graph_stats(dense_view(c)) == \
+            graph_stats(dense_complex(c.faces, c.vertex_mask))
 
 
 def test_is_graph():
@@ -412,12 +420,17 @@ def test_memoized_caches_stay_bounded(monkeypatch):
     cached_fns = (components, canonical_key, _first_involution)
     positions = [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 8)]
     positions += [wheel(5), erdos_renyi(6, 0.5, 1)]
-    expected = {fn: [fn.__wrapped__(c) for c in positions] for fn in cached_fns}
+
+    def arg(fn, c):  # _first_involution takes the sorted face tuple
+        return tuple(sorted(c.faces)) if fn is _first_involution else c
+
+    expected = {fn: [fn.__wrapped__(arg(fn, c)) for c in positions]
+                for fn in cached_fns}
     monkeypatch.setattr(complexes, "CACHE_SIZE", 3)
     for fn in cached_fns:
         fn.cache.clear()
     for _ in range(2):
         for i, c in enumerate(positions):
             for fn in cached_fns:
-                assert fn(c) == expected[fn][i]
+                assert fn(arg(fn, c)) == expected[fn][i]
                 assert len(fn.cache) <= 3

@@ -280,6 +280,26 @@ def test_node_memos_keep_no_frozenset():
         assert type(key) is tuple and list(key) == sorted(key)
 
 
+def test_fresh_solve_builds_no_complex_after_its_root(monkeypatch):
+    # every node is analysed from its dense view: the closed forms and the
+    # involution search read the view, and a reduction's fixed set is a
+    # bitmap, so the solve builds no SimplicialComplex besides its root
+    c = erdos_renyi(9, 0.5, 3)
+    _fresh_caches()
+    symmetry._first_involution.cache.clear()
+    built = []
+    original = SimplicialComplex.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(SimplicialComplex, "__post_init__", counted)
+    record = grundy(c, EngineConfig(), TranspositionTable())
+    assert record.stats["nodes"] > 0
+    assert built == []
+
+
 def _count_refinements(monkeypatch) -> dict[str, int]:
     """Count the runs of the stable refinement (canon._refiner) and of the
     canonical search, which runs it once per key.  A refinement the

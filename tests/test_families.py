@@ -1,5 +1,8 @@
+from functools import partial
+
 import pytest
 
+from graphchomp import families
 from graphchomp.complexes import InvalidInputError, face_size, graph_stats
 from graphchomp.families import (
     FamilySpec,
@@ -147,3 +150,31 @@ def test_parse_family_errors():
 def test_family_spec_canonical_string_roundtrip():
     spec = parse_family("gmk:m=2,k=5")
     assert parse_family(spec.canonical_string()) == spec
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete(65), lambda: complete_npartite([30, 35]),
+    lambda: path(65), lambda: cycle(65), lambda: wheel(64),
+    lambda: gmk(30, 31), lambda: hairball(3, [[31, 31]]),
+    lambda: figure8(33, 33), lambda: theta(21, 21, 21),
+    lambda: random_tree(65, 0), lambda: random_forest(65, 0),
+    lambda: random_pseudotree(3, 62, 0), lambda: erdos_renyi(65, 0.5, 0),
+    lambda: random_bipartite(65, 0.5, 0), lambda: random_complex(65, 0),
+    partial(attach_tail, path(3), 0, 62),  # the base is built beforehand
+])
+def test_sizes_above_the_ground_cap_are_refused_before_any_face(
+        build, monkeypatch):
+    # more than 64 vertices is refused up front, before an edge mask
+    # (or a tail's first edge) is made
+    def no_mask(a, b):
+        raise AssertionError("edge mask made before the size check")
+
+    monkeypatch.setattr(families, "_edge", no_mask)
+    with pytest.raises(InvalidInputError, match="65 vertices exceed"):
+        build()
+
+
+def test_attach_point_outside_the_ground_set_refused():
+    for vertex in (-1, 3, 10**12):
+        with pytest.raises(InvalidInputError, match="attach point"):
+            attach_tail(path(3), vertex, 1)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphchomp.canon import isomorphic
-from graphchomp.complexes import SimplicialComplex, close_down, mask_of
+from graphchomp.canon import dense_view, isomorphic
+from graphchomp.complexes import SimplicialComplex, close_down, mask_of, relabel
 from graphchomp.families import (
     complete,
     cycle,
@@ -70,27 +70,40 @@ def test_valid_involution_on_path():
 @given(small_graphs())
 @settings(max_examples=40, deadline=None)
 def test_reduction_preserves_nim_value(c):
-    found = find_reduction(c)
-    if found is None:
+    t = find_reduction(c)
+    if t is None:
         return
-    t, fixed = found
     ok, reason = validate_involution(c, t)
     assert ok, reason
-    assert oracle_grundy(fixed) == oracle_grundy(c)
+    assert oracle_grundy(fixed_point_set(c, t)) == oracle_grundy(c)
 
 
 @given(st.one_of(small_graphs(), small_complexes()))
 @settings(max_examples=60, deadline=None)
 def test_one_search_answers_reduction_and_simplest_form(c):
-    first = next(_valid_involutions(c), None)
-    found = find_reduction(c)
-    if first is None:
-        assert found is None
-    else:
-        t, fixed = found
-        assert t == first
-        assert fixed.faces == fixed_point_set(c, t).faces
-    assert is_simplest_form(c) == (found is None)
+    # the complex, its dense view and the sorted faces of a gapped
+    # relabeling are searched alike: each finds the first involution of the
+    # search in its own labels, which order-preserving relabeling maps onto
+    # the complex's
+    verts = c.vertices()
+    spread = {v: 2 * v + 1 for v in verts}
+    gapped = relabel(c, spread, 2 * c.ground_size + 1)
+    want = find_reduction(c)
+    for form, label in ((c, {v: v for v in verts}),
+                        (dense_view(c), {v: i for i, v in enumerate(verts)}),
+                        (tuple(sorted(gapped.faces)), spread)):
+        found = find_reduction(form)
+        assert found == next(_valid_involutions(form), None)
+        assert is_simplest_form(form) == (found is None)
+        if want is None:
+            assert found is None
+        else:
+            assert found == Involution(
+                tuple((label[a], label[b]) for a, b in want.pairs),
+                tuple(label[v] for v in want.fixed))
+    if want is not None:  # a reduction step is that involution's fixed set
+        assert reduce_to_simplest(c, 1)[0].faces == \
+            fixed_point_set(c, want).faces
 
 
 @st.composite
