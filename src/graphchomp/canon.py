@@ -1,26 +1,34 @@
 """Isomorphism-invariant canonical keys for small complexes.
 
-One colour refinement, on ordered cells, serves both the stable colouring
-(`refinement_colors`) and the canonical search (`canonical_order`).  A
-colouring is an ordered list of cells, and a vertex's colour is the index
-of its cell.  Each synchronous round splits every cell by the signature
+A colouring is an ordered list of cells, and a vertex's colour is the index
+of its cell.  The stable colouring (`refinement_colors`) and the canonical
+search (`canonical_order`) share one colour refinement for graphs and one
+for complexes.  Each synchronous round splits every cell by the signature
 (colour, presence, sorted neighbour colours) for graphs, or (colour, sorted
 incident face ranks) for complexes, and orders the parts by it, so colour
 ranks, canonical faces and their digests are those of these signatures.
-A round builds no signature for a vertex in a singleton cell or in a cell
-that does not split: it groups the vertices of each non-singleton cell by
-one exact int.  For graphs that int counts a vertex's neighbours in each
-part the previous round split off, and its reverse order is the signature
-order; the first round from the uniform colouring ranks by (presence,
-degree).  For complexes it is a packed multiset of incident face ids, and
-sorted signatures order the parts of a cell only when it splits.
+Neither builds a signature for a vertex in a singleton cell or in a cell
+that does not split.
+
+A graph, a view whose faces have at most 2 vertices, refines and searches
+on neighbour rows that one pass over the view builds (`_graph_rows`), and
+its cells are vertex masks.  Two vertices of one cell differ only in their
+neighbour counts in the parts the previous round split off, and their
+signatures order as those counts do, reversed; a round splits each cell by
+the bit planes of the counts, highest first (`_row_rounds`).  The first
+round from the uniform colouring ranks by (presence, degree).  A complex
+refines on vertex lists (`_refiner`): a round groups the vertices of each
+non-singleton cell by a packed multiset of incident face ids, and sorted
+signatures order the parts of a cell only when it splits.
 
 The canonical search individualizes each vertex of the first non-singleton
 cell in turn (the cell becomes [v], rest) and keeps the lexicographically
 minimal relabeled face list over the leaves, each read off its singleton
-cells.  Cells whose members are pairwise interchangeable (every
-transposition inside the cell is an automorphism) branch on a single
-representative, which keeps cliques and co-cliques cheap.
+cells; a graph's leaf is pb[a] | pb[b] over its edges (a, b) and pb[v] over
+its singleton faces, with pb[v] the bit of v's position in the leaf.
+Cells whose members are pairwise interchangeable (every transposition
+inside the cell is an automorphism) branch on a single representative,
+which keeps cliques and co-cliques cheap.
 
 Keys are computed on dense views: a connected position's faces relabeled
 onto 0..n-1 in label order and sorted.  `view_keys` maps a view to the
@@ -80,153 +88,246 @@ def labeled_key(c: SimplicialComplex) -> CanonicalKey:
     return CanonicalKey(_encode(faces, exact=False), faces, exact=False)
 
 
+def _graph_rows(view: tuple[int, ...], n: int):
+    """One pass over a dense view: (rows, present, edges, singles), the
+    neighbour bitmask of each vertex, the mask of the vertices that are
+    faces, the edges as (a, b) pairs with a < b and the singleton faces as
+    vertices; None when a face has 3 or more vertices."""
+    rows = [0] * n
+    present = 0
+    edges = []
+    singles = []
+    for f in view:
+        low = f & -f
+        high = f ^ low
+        if not high:
+            present |= f
+            singles.append(low.bit_length() - 1)
+        elif high & (high - 1):
+            return None
+        else:
+            a = low.bit_length() - 1
+            b = high.bit_length() - 1
+            rows[a] |= high
+            rows[b] |= low
+            edges.append((a, b))
+    return rows, present, edges, singles
+
+
+def _row_rounds(rows: list[int], cells: list[int],
+                fresh: list[int]) -> list[int]:
+    """Graph rounds on neighbour rows until none splits a cell; cells and
+    the fresh parts are vertex masks.
+
+    Two vertices of one cell had equal neighbour counts in every cell of
+    the round before, and equal presence, so their signatures differ only
+    in their counts in the parts the last round split off (`fresh`, in
+    colour order; a split cell's last part follows from the others).  Of
+    two signatures the smaller has the larger count at the first colour
+    where they differ, so the parts of a cell come in descending order of
+    these counts, compared fresh part by fresh part.  Each count is read
+    as bit planes, highest first, and a plane splits every part into its
+    members in the plane, then the others: a fresh vertex's row is its one
+    plane, and the planes of a larger fresh part are the bitwise sum of
+    its members' rows.
+    """
+    while fresh:
+        planes: list[int] = []
+        for part in fresh:
+            if part & (part - 1):
+                counts: list[int] = []  # counts[j]: bit j of each count
+                while part:
+                    low = part & -part
+                    part ^= low
+                    add = rows[low.bit_length() - 1]
+                    for j, plane in enumerate(counts):
+                        counts[j] = plane ^ add
+                        add &= plane
+                        if not add:
+                            break
+                    else:
+                        counts.append(add)
+                planes += reversed(counts)
+            else:
+                planes.append(rows[part.bit_length() - 1])
+        out: list[int] = []
+        fresh = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts = [cell]
+            for plane in planes:
+                split = []
+                for p in parts:
+                    inside = p & plane
+                    if inside and inside != p:
+                        split += inside, p ^ inside
+                    else:
+                        split.append(p)
+                parts = split
+            out += parts
+            fresh += parts[:-1]
+        cells = out
+    return cells
+
+
+def _row_stable(n: int, rows: list[int], present: int,
+                colors=None) -> list[int]:
+    """The stable colouring of a graph as ordered vertex masks; the first
+    round from the uniform colouring ranks by (presence, degree).  Vertex
+    v's colour, the index of its cell, goes to colors[v] when colors is
+    given."""
+    groups: dict[int, int] = {}
+    for v in range(n):
+        k = (present >> v & 1) * n + rows[v].bit_count()
+        groups[k] = groups.get(k, 0) | 1 << v
+    cells = [groups[k] for k in sorted(groups)]
+    cells = _row_rounds(rows, cells, cells[:-1])
+    if colors is not None:
+        for i, cell in enumerate(cells):
+            while cell:
+                low = cell & -cell
+                colors[low.bit_length() - 1] = i
+                cell ^= low
+    return cells
+
+
+def _row_search(rows: list[int], edges: list[tuple[int, int]],
+                singles: list[int], cells: list[int]) -> tuple[int, ...]:
+    """The minimal leaf below a graph's stable colouring: the canonical
+    search of canonical_order, on neighbour rows."""
+    n = len(rows)
+    best = None
+    stack = [cells]
+    while stack:
+        cells = stack.pop()
+        for i, target in enumerate(cells):
+            if target & (target - 1):
+                break
+        else:
+            # a discrete colouring: pb[v] is the bit of v's position in it
+            pb = [0] * n
+            for i, cell in enumerate(cells):
+                pb[cell.bit_length() - 1] = 1 << i
+            leaf = [pb[a] | pb[b] for a, b in edges]
+            leaf += map(pb.__getitem__, singles)
+            leaf.sort()
+            if best is None or leaf < best:
+                best = leaf
+            continue
+        # (u w) is an automorphism iff u and w have the same neighbours
+        # apart from each other; presence is constant within a cell
+        low = target & -target
+        row = rows[low.bit_length() - 1]
+        rest = target ^ low
+        while rest:
+            w = rest & -rest
+            rest ^= w
+            pair = low | w
+            if rows[w.bit_length() - 1] | pair != row | pair:
+                choices = target
+                break
+        else:
+            choices = low
+        head, tail = cells[:i], cells[i + 1:]
+        while choices:
+            v = choices & -choices
+            choices ^= v
+            stack.append(_row_rounds(rows, head + [v, target ^ v] + tail, [v]))
+    return tuple(best)
+
+
 def _refiner(n: int, fmembers: list[tuple[int, ...]]):
-    """Colour refinement for the complex on 0..n-1 with the given faces.
+    """Colour refinement for a complex on 0..n-1 with the given faces, one
+    of them of 3 or more vertices (a graph refines on its rows instead,
+    _row_stable and _row_search).
 
     Returns (stable, individualize, interchangeable): `stable()` refines
     the uniform colouring; `individualize(cells, i, v)` splits v off the
     front of cell i of a stable colouring and refines the result;
     `interchangeable(cell)` says whether every transposition inside the
     cell is an automorphism.  Cells are lists sorted by vertex, and rounds
-    run until none splits a cell.  For graphs the face multiset of a vertex
-    reduces to whether the vertex is a face plus the multiset of neighbour
-    colours, which induces the same partition more cheaply.
+    run until none splits a cell.
     """
     bit = [1 << v for v in range(n)]
-    if max(map(len, fmembers), default=0) <= 2:
-        nb = [0] * n  # neighbour bitmasks
-        present = [False] * n
-        for mem in fmembers:
-            if len(mem) == 1:
-                present[mem[0]] = True
-            else:
-                a, b = mem
-                nb[a] |= bit[b]
-                nb[b] |= bit[a]
-        degree = [row.bit_count() for row in nb]
-        width = max(degree, default=0).bit_length()  # one digit per count
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(present[v] * n + degree[v], []).append(v)
-        first = [groups[k] for k in sorted(groups)]
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for fi, mem in enumerate(fmembers):
+        for u in mem:
+            incident[u].append(fi)
+    # colour i weighs power[i] in a face's member multiset, and face
+    # id j weighs 1 << vwidth * j in a vertex's incident multiset
+    fwidth = max(map(len, fmembers)).bit_length()
+    power = [1 << fwidth * i for i in range(n)]
+    vwidth = max(map(len, incident)).bit_length()
+    faces = [sum(map(bit.__getitem__, mem)) for mem in fmembers]
+    faces_set = frozenset(faces)
 
-        def splitter(cells: list[list[int]], fresh: list[int]):
-            # Two vertices of one cell had equal neighbour counts in every
-            # cell of the round before, and equal presence, so their
-            # signatures differ only in their counts in the parts the last
-            # round split off (`fresh`, in colour order; a split cell's
-            # last part follows from the others).  Of two signatures the
-            # smaller has the larger count at the first colour where they
-            # differ, so the key, one digit per fresh part, sorts the parts
-            # in reverse.
-            def split(cell: list[int]) -> list[list[int]]:
-                parts: dict[int, list[int]] = {}
-                for v in cell:
-                    row = nb[v]
-                    k = 0
-                    for m in fresh:
-                        k = k << width | (row & m).bit_count()
-                    parts.setdefault(k, []).append(v)
-                return [parts[k] for k in sorted(parts, reverse=True)]
+    def splitter(cells: list[list[int]]):
+        colors = [0] * n
+        for i, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = i
+        # faces with equal (size, member colours) share an id
+        weight = list(map(power.__getitem__, colors))
+        ids: dict[int, int] = {}
+        fid = [ids.setdefault(sum(map(weight.__getitem__, mem)), len(ids))
+               for mem in fmembers]
+        fweight = [1 << vwidth * i for i in fid]
+        rank: list[int] = []
 
-            return split
+        def split(cell: list[int]) -> list[list[int]]:
+            parts: dict[int, list[int]] = {}
+            for v in cell:
+                k = sum(map(fweight.__getitem__, incident[v]))
+                parts.setdefault(k, []).append(v)
+            if len(parts) == 1:
+                return [cell]
+            if not rank:  # rank the ids by (size, sorted member colours)
+                rep: dict[int, tuple[int, ...]] = {}
+                for i, mem in zip(fid, fmembers):
+                    rep.setdefault(i, mem)
+                rank.extend([0] * len(rep))
+                order = sorted(rep, key=lambda i: (
+                    len(rep[i]), sorted(map(colors.__getitem__, rep[i]))))
+                for r, i in enumerate(order):
+                    rank[i] = r
+            return sorted(parts.values(), key=lambda p: sorted(
+                rank[fid[fi]] for fi in incident[p[0]]))
 
-        def interchangeable(cell: list[int]) -> bool:
-            # (u w) is an automorphism iff u and w have the same neighbours
-            # apart from each other; presence is constant within a cell
-            u = cell[0]
-            for w in cell[1:]:
-                pair = bit[u] | bit[w]
-                if nb[u] | pair != nb[w] | pair:
-                    return False
-            return True
-    else:
-        incident: list[list[int]] = [[] for _ in range(n)]
-        for fi, mem in enumerate(fmembers):
-            for u in mem:
-                incident[u].append(fi)
-        # colour i weighs power[i] in a face's member multiset, and face
-        # id j weighs 1 << vwidth * j in a vertex's incident multiset
-        fwidth = max(map(len, fmembers)).bit_length()
-        power = [1 << fwidth * i for i in range(n)]
-        vwidth = max(map(len, incident)).bit_length()
-        first = [list(range(n))]
-        faces = [sum(map(bit.__getitem__, mem)) for mem in fmembers]
-        faces_set = frozenset(faces)
+        return split
 
-        def splitter(cells: list[list[int]], fresh: list[int]):
-            colors = [0] * n
-            for i, cell in enumerate(cells):
-                for v in cell:
-                    colors[v] = i
-            # faces with equal (size, member colours) share an id
-            weight = list(map(power.__getitem__, colors))
-            ids: dict[int, int] = {}
-            fid = [ids.setdefault(sum(map(weight.__getitem__, mem)), len(ids))
-                   for mem in fmembers]
-            fweight = [1 << vwidth * i for i in fid]
-            rank: list[int] = []
+    def interchangeable(cell: list[int]) -> bool:
+        # transpositions with cell[0] generate all the others
+        bu = bit[cell[0]]
+        for w in cell[1:]:
+            bw = bit[w]
+            for f in faces:
+                if bool(f & bu) != bool(f & bw):
+                    if f ^ bu ^ bw not in faces_set:
+                        return False
+        return True
 
-            def split(cell: list[int]) -> list[list[int]]:
-                parts: dict[int, list[int]] = {}
-                for v in cell:
-                    k = sum(map(fweight.__getitem__, incident[v]))
-                    parts.setdefault(k, []).append(v)
-                if len(parts) == 1:
-                    return [cell]
-                if not rank:  # rank the ids by (size, sorted member colours)
-                    rep: dict[int, tuple[int, ...]] = {}
-                    for i, mem in zip(fid, fmembers):
-                        rep.setdefault(i, mem)
-                    rank.extend([0] * len(rep))
-                    order = sorted(rep, key=lambda i: (
-                        len(rep[i]), sorted(map(colors.__getitem__, rep[i]))))
-                    for r, i in enumerate(order):
-                        rank[i] = r
-                return sorted(parts.values(), key=lambda p: sorted(
-                    rank[fid[fi]] for fi in incident[p[0]]))
-
-            return split
-
-        def interchangeable(cell: list[int]) -> bool:
-            # transpositions with cell[0] generate all the others
-            bu = bit[cell[0]]
-            for w in cell[1:]:
-                bw = bit[w]
-                for f in faces:
-                    if bool(f & bu) != bool(f & bw):
-                        if f ^ bu ^ bw not in faces_set:
-                            return False
-            return True
-
-    def refine(cells: list[list[int]], fresh: list[int]) -> list[list[int]]:
-        """Rounds until none splits a cell.  `fresh` holds the masks of the
-        parts the previous round split off, each split cell's last part left
-        out; graph rounds read only these."""
+    def refine(cells: list[list[int]]) -> list[list[int]]:
+        """Rounds until none splits a cell."""
         while True:
-            split = splitter(cells, fresh)
+            split = splitter(cells)
             out: list[list[int]] = []
-            fresh = []
             for cell in cells:
                 if len(cell) > 1:
-                    parts = split(cell)
-                    if len(parts) > 1:
-                        out += parts
-                        for part in parts[:-1]:
-                            fresh.append(sum(map(bit.__getitem__, part)))
-                        continue
-                out.append(cell)
-            if not fresh:
+                    out += split(cell)
+                else:
+                    out.append(cell)
+            if len(out) == len(cells):
                 return cells
             cells = out
 
     def stable() -> list[list[int]]:
-        fresh = [sum(map(bit.__getitem__, part)) for part in first[:-1]]
-        return refine(first, fresh)
+        return refine([list(range(n))])
 
     def individualize(cells: list[list[int]], i: int, v: int):
         rest = [u for u in cells[i] if u != v]
-        return refine(cells[:i] + [[v], rest] + cells[i + 1:], [bit[v]])
+        return refine(cells[:i] + [[v], rest] + cells[i + 1:])
 
     return stable, individualize, interchangeable
 
@@ -250,6 +351,11 @@ def canonical_order(
     """
     view = c if type(c) is tuple else dense_view(c)
     n = view[-1].bit_length() if view else 0
+    graph = _graph_rows(view, n)
+    if graph is not None:
+        rows, present, edges, singles = graph
+        return _row_search(rows, edges, singles,
+                           _row_stable(n, rows, present, colors))
     fmembers = [vertices_of(f) for f in view]
     stable, individualize, interchangeable = _refiner(n, fmembers)
 
@@ -326,8 +432,13 @@ def refinement_colors(c: SimplicialComplex | tuple[int, ...]) -> dict[int, int]:
     entry = view_keys.get(view)
     if entry is not None:
         return dict(zip(verts, entry[1]))
-    stable, _, _ = _refiner(len(verts), [vertices_of(f) for f in view])
-    colors = [0] * len(verts)
+    n = len(verts)
+    colors = [0] * n
+    graph = _graph_rows(view, n)
+    if graph is not None:
+        _row_stable(n, *graph[:2], colors)
+        return dict(zip(verts, colors))
+    stable, _, _ = _refiner(n, [vertices_of(f) for f in view])
     for i, cell in enumerate(stable()):
         for v in cell:
             colors[v] = i

@@ -116,7 +116,7 @@ def cmd_solve(args) -> int:
     cfg = _config_from(args)
     table, cache_path = _open_table(args)
     if args.oracle:
-        budget = args.budget if args.budget else DEFAULT_ORACLE_BUDGET
+        budget = DEFAULT_ORACLE_BUDGET if args.budget is None else args.budget
         value, move = _oracle_solve(c, budget)
         stats = {"method": "oracle"}
     else:
@@ -416,6 +416,14 @@ def cmd_scan(args) -> int:
     return EXIT_OK if not bad else EXIT_FAIL
 
 
+def _count(text: str) -> int:
+    """argparse type of every count and budget: an int of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
     """Give a subcommand the shared flags it reads, and no others."""
     if "cache" in names:
@@ -433,7 +441,7 @@ def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
     if "seed" in names:
         p.add_argument("--seed", type=int, default=0)
     if "budget" in names:
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_count, default=None,
                        help="node budget for the search")
 
 
@@ -457,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--family")
     p.add_argument("--out", help="write the final position to this file")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_count, default=None,
                    help="reduction steps (default 64)")
     _add_flags(p, "json")
     p.set_defaults(func=cmd_reduce)
@@ -466,9 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "the engine")
     p.add_argument("family", choices=["forests", "bipartite", "complete",
                                       "npartite", "gmk"])
-    p.add_argument("--max-v", type=int, default=8)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument("--max-v", type=_count, default=8)
+    p.add_argument("--samples", type=_count, default=200)
+    p.add_argument("--max", type=_count, default=6)
     p.add_argument("--cycle", type=int, default=3)
     _add_flags(p, "cache", "toggles", "oracle", "json", "seed", "budget")
     p.set_defaults(func=cmd_verify)
@@ -490,12 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="conjecture sweeps")
     p.add_argument("conjecture", choices=["wheels", "tails", "multi"])
-    p.add_argument("--max", type=int, default=7, help="wheels: largest n")
+    p.add_argument("--max", type=_count, default=7, help="wheels: largest n")
     p.add_argument("--base", help="tails: base family spec")
     p.add_argument("--attach", type=int, default=0,
                    help="tails: attachment vertex")
-    p.add_argument("--kmax", type=int, default=9)
-    p.add_argument("--vmax", type=int, default=8, help="multi: vertex cap")
+    p.add_argument("--kmax", type=_count, default=9)
+    p.add_argument("--vmax", type=_count, default=8, help="multi: vertex cap")
     p.add_argument("--cycle", type=int, default=3)
     p.add_argument("--out", help="JSONL report path")
     p.add_argument("--resume", action="store_true")

@@ -30,6 +30,7 @@ from graphchomp.families import (
     complete_npartite,
     cycle,
     erdos_renyi,
+    gmk,
     graph_complex,
     path,
     random_complex,
@@ -308,6 +309,11 @@ def _symmetric_graphs():
         "q3x2": _union(q3, q3),
         "cycle7x2": _union(cycle(7), cycle(7)), "absent": absent,
         **{f"wheel{n}": wheel(n) for n in range(3, 16)},
+        # above the 16-vertex bound, where refinement_colors finds no view
+        # entry; the gmk graph keeps gaps between its labels
+        "path40": path(40),
+        "gmk10_6_3": relabel(gmk(10, 6, 3),
+                             {v: 3 * v + 1 for v in range(20)}, 61),
     }
 
 
@@ -320,6 +326,28 @@ def test_refinement_matches_reference_on_symmetric_graphs(name):
     targets = rng.sample(range(len(verts) + 4), len(verts))
     _assert_matches_reference(
         relabel(c, dict(zip(verts, targets)), len(verts) + 4))
+
+
+def test_graph_views_never_reach_the_complex_refiner(monkeypatch):
+    # a graph refines and searches on its neighbour rows; only a face of 3
+    # or more vertices takes the complex refiner
+    def refuse(n, fmembers):
+        raise AssertionError("complex refiner")
+
+    monkeypatch.setattr(canon, "_refiner", refuse)
+    for c in (erdos_renyi(8, 0.5, 4), wheel(7), path(40),
+              _symmetric_graphs()["absent"]):
+        view = dense_view(c)
+        canon.view_keys.pop(view, None)
+        canonical_order(view)
+        refinement_colors(view)
+    view = dense_view(random_complex(6, 1))
+    canon.view_keys.pop(view, None)
+    assert max(map(int.bit_count, view)) >= 3
+    with pytest.raises(AssertionError, match="complex refiner"):
+        canonical_order(view)
+    with pytest.raises(AssertionError, match="complex refiner"):
+        refinement_colors(view)
 
 
 def test_refinement_matches_reference_on_random_complexes():

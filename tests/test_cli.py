@@ -147,6 +147,28 @@ def test_ignored_flag_exits_2(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "path:3", "--budget", "-1"],
+    ["reduce", "--family", "cycle:6", "--budget", "-1"],
+    ["verify", "bipartite", "--samples", "-3"],
+    ["verify", "npartite", "--max-v", "-1"],
+    ["verify", "complete", "--max", "-1"],
+    ["play", "--family", "path:3", "--budget", "-1"],
+    ["scan", "tails", "--base", "gmk:1,2", "--kmax", "-1"],
+    ["scan", "multi", "--vmax", "-1"],
+    ["scan", "wheels", "--max", "-1"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_negative_count_or_budget_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_oracle_honours_a_zero_budget(capsys):
+    code = main(["solve", "--family", "path:3", "--oracle", "--budget", "0"])
+    assert code == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 # `solve --json` output of the default configuration, statistics included:
 # how the engine represents positions must not move a single count
 PINNED_SOLVES = {
