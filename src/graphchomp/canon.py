@@ -172,12 +172,12 @@ def _row_rounds(rows: list[int], cells: list[int],
     return cells
 
 
-def _row_stable(n: int, rows: list[int], present: int,
-                colors=None) -> list[int]:
+def _row_stable(rows: list[int], present: int, colors=None) -> list[int]:
     """The stable colouring of a graph as ordered vertex masks; the first
     round from the uniform colouring ranks by (presence, degree).  Vertex
     v's colour, the index of its cell, goes to colors[v] when colors is
     given."""
+    n = len(rows)
     groups: dict[int, int] = {}
     for v in range(n):
         k = (present >> v & 1) * n + rows[v].bit_count()
@@ -355,7 +355,7 @@ def canonical_order(
     if graph is not None:
         rows, present, edges, singles = graph
         return _row_search(rows, edges, singles,
-                           _row_stable(n, rows, present, colors))
+                           _row_stable(rows, present, colors))
     fmembers = [vertices_of(f) for f in view]
     stable, individualize, interchangeable = _refiner(n, fmembers)
 
@@ -436,7 +436,7 @@ def refinement_colors(c: SimplicialComplex | tuple[int, ...]) -> dict[int, int]:
     colors = [0] * n
     graph = _graph_rows(view, n)
     if graph is not None:
-        _row_stable(n, *graph[:2], colors)
+        _row_stable(*graph[:2], colors)
         return dict(zip(verts, colors))
     stable, _, _ = _refiner(n, [vertices_of(f) for f in view])
     for i, cell in enumerate(stable()):
