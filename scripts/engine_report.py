@@ -8,9 +8,9 @@ engine, with a fresh table, and by the oracle.  Every measurement runs in
 a fresh interpreter, so the analysis caches start empty, as in one
 `graphchomp solve`, and its `peak_rss_mb` is that interpreter's peak
 resident set.  An engine measurement also counts the entries the solve
-left in each analysis cache (`cache_entries`).  A solver that runs out of
-its budget is reported as exhausted, with the CPU time it spent until
-then; it never guesses.
+left in each analysis cache and in the class move record
+(`cache_entries`).  A solver that runs out of its budget is reported as
+exhausted, with the CPU time it spent until then; it never guesses.
 
 With --repeat N each position is measured N times per side, engine and
 oracle runs alternating (the oracle first in every second round), and each
@@ -39,7 +39,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from graphchomp import canon, complexes, symmetry  # noqa: E402
+from graphchomp import canon, complexes, engine, symmetry  # noqa: E402
 from graphchomp.engine import (  # noqa: E402
     BudgetExceededError,
     EngineConfig,
@@ -107,15 +107,22 @@ def measure(spec: str, solver: str, toggles: tuple[bool, bool, bool],
 
 
 def cache_entries() -> dict:
-    """Entries held by each analysis cache of this interpreter."""
+    """Entries held by each analysis cache of this interpreter.  The class
+    move record reports its entries, class markers included, as
+    `class_moves` and the classes with recorded parts as
+    `class_moves_classes`."""
     caches = {
         "view_keys": canon.view_keys,
         "class_keys": canon.class_keys,
+        "class_moves": engine.class_moves,
         "components": complexes.components.cache,
         "canonical_key": canon.canonical_key.cache,
         "find_reduction": symmetry._first_involution.cache,
     }
-    return {name: len(cache) for name, cache in caches.items()}
+    out = {name: len(cache) for name, cache in caches.items()}
+    out["class_moves_classes"] = len(
+        {name[0] for name in engine.class_moves if type(name) is tuple})
+    return out
 
 
 def run_child(args: list[str]) -> dict:

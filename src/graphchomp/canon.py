@@ -25,27 +25,36 @@ The canonical search individualizes each vertex of the first non-singleton
 cell in turn (the cell becomes [v], rest) and keeps the lexicographically
 minimal relabeled face list over the leaves, each read off its singleton
 cells; a graph's leaf is pb[a] | pb[b] over its edges (a, b) and pb[v] over
-its singleton faces, with pb[v] the bit of v's position in the leaf.
+its singleton faces, with pb[v] the bit of v's position in the leaf.  The
+first minimal leaf is also the canonical labelling: perm[v], the position
+of view vertex v in it, relabels the view onto the canonical faces.
 Cells whose members are pairwise interchangeable (every transposition
 inside the cell is an automorphism) branch on a single representative,
 which keeps cliques and co-cliques cheap.
 
 Keys are computed on dense views: a connected position's faces relabeled
 onto 0..n-1 in label order and sorted.  `view_keys` maps a view to the
-pair (class key, stable colouring).  The class key is the one
-`CanonicalKey` of the view's canonical class, interned in `class_keys` by
-its canonical faces, so many views share one key and its digest is
-computed once per class.  The colouring is the one the view's canonical
-search started from, in the view's labels, and `refinement_colors`
-answers from it, so the involution search of a position keyed before runs
-no refinement of its own and no caller hands a colouring on.  A disjoint
-union is keyed from its parts' keys (`union_key`).
+pair (class key, perm).  The class key is the one `CanonicalKey` of the
+view's canonical class, interned in `class_keys` by its canonical faces,
+so many views share one key and its digest is computed once per class.
+The stable colouring is a class invariant, so the key holds it once, in
+canonical labels: view vertex v has colour key.colors[perm[v]].  Rounds
+and individualization split cells in place, so every leaf keeps the
+stable cells in order, and the canonical labels of stable cell i are the
+i-th run; key.colors is read off the cell sizes (`_stable_colors`).
+`refinement_colors` answers from there, so the involution search of a
+position keyed before runs no refinement of its own and no caller hands a
+colouring on.  The engine reaches a class's sub-positions under new labels
+in every solve; it records them in the class's canonical labels (see
+engine.class_moves) and registers the views it keys from that record here
+with their labellings.  A disjoint union is keyed from its parts' keys
+(`union_key`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Optional
@@ -69,11 +78,13 @@ class CanonicalizationBoundError(RuntimeError):
 @dataclass(frozen=True)
 class CanonicalKey:
     """A table key: the digest of the canonical (or labeled) faces.  The
-    key of a connected position is shared by every view of its class; the
-    stable colouring of a view sits next to it in view_keys."""
+    key of a connected position is shared by every view of its class and
+    holds the class's stable colouring in canonical labels: canonical
+    vertex l has colour colors[l] (empty for a union or a labeled key)."""
     digest: bytes
     faces: tuple[int, ...]
     exact: bool = True
+    colors: bytes = field(default=b"", compare=False, repr=False)
 
 
 def _encode(faces: tuple[int, ...], exact: bool) -> bytes:
@@ -194,11 +205,14 @@ def _row_stable(rows: list[int], present: int, colors=None) -> list[int]:
 
 
 def _row_search(rows: list[int], edges: list[tuple[int, int]],
-                singles: list[int], cells: list[int]) -> tuple[int, ...]:
+                singles: list[int], cells: list[int],
+                perm: Optional[bytearray] = None) -> tuple[int, ...]:
     """The minimal leaf below a graph's stable colouring: the canonical
-    search of canonical_order, on neighbour rows."""
+    search of canonical_order, on neighbour rows.  perm, when given,
+    receives the position of each vertex in the first minimal leaf."""
     n = len(rows)
     best = None
+    labelling = cells
     stack = [cells]
     while stack:
         cells = stack.pop()
@@ -215,6 +229,7 @@ def _row_search(rows: list[int], edges: list[tuple[int, int]],
             leaf.sort()
             if best is None or leaf < best:
                 best = leaf
+                labelling = cells
             continue
         # (u w) is an automorphism iff u and w have the same neighbours
         # apart from each other; presence is constant within a cell
@@ -235,6 +250,9 @@ def _row_search(rows: list[int], edges: list[tuple[int, int]],
             v = choices & -choices
             choices ^= v
             stack.append(_row_rounds(rows, head + [v, target ^ v] + tail, [v]))
+    if perm is not None:
+        for i, cell in enumerate(labelling):
+            perm[cell.bit_length() - 1] = i
     return tuple(best)
 
 
@@ -340,29 +358,44 @@ def dense_view(c: SimplicialComplex) -> tuple[int, ...]:
 
 
 def canonical_order(
-    c: SimplicialComplex | tuple[int, ...], colors: Optional[bytearray] = None
+    c: SimplicialComplex | tuple[int, ...], perm: Optional[bytearray] = None,
+    stable: Optional[list] = None,
 ) -> tuple[int, ...]:
     """The canonical face list of c, relabeled onto 0..n-1 and sorted by mask.
 
     c is a complex or its dense view.  The relabeling is the vertex ordering
     whose sorted face list is lexicographically least.  A bytearray of n
-    zeros passed as colors receives the stable colouring the search starts
-    from, in the view's labels.
+    zeros passed as perm receives the canonical labelling, read off the
+    first minimal leaf: view vertex v has canonical label perm[v], so the
+    view's faces relabeled by perm are the canonical faces.  A list passed
+    as stable receives the stable colouring the search starts from, as
+    ordered cells.
     """
     view = c if type(c) is tuple else dense_view(c)
     n = view[-1].bit_length() if view else 0
     graph = _graph_rows(view, n)
     if graph is not None:
         rows, present, edges, singles = graph
-        return _row_search(rows, edges, singles,
-                           _row_stable(rows, present, colors))
+        cells = _row_stable(rows, present)
+        best = _row_search(rows, edges, singles, cells, perm)
+    else:
+        best, cells = _complex_search(view, n, perm)
+    if stable is not None:
+        stable[:] = cells
+    return best
+
+
+def _complex_search(view: tuple[int, ...], n: int,
+                    perm: Optional[bytearray]):
+    """The canonical search of canonical_order for a complex with a face of
+    3 or more vertices: (canonical faces, stable cells)."""
     fmembers = [vertices_of(f) for f in view]
     stable, individualize, interchangeable = _refiner(n, fmembers)
 
-    best = None
+    best = labelling = None
 
     def descend(cells: list[list[int]]):
-        nonlocal best
+        nonlocal best, labelling
         for i, target in enumerate(cells):
             if len(target) > 1:
                 break
@@ -381,49 +414,66 @@ def canonical_order(
             enc = tuple(out)
             if best is None or enc < best:
                 best = enc
+                labelling = pos
             return
         choices = target[:1] if interchangeable(target) else target
         for v in choices:
             descend(individualize(cells, i, v))
 
     cells = stable()
-    if colors is not None:
-        for i, cell in enumerate(cells):
-            for v in cell:
-                colors[v] = i
     descend(cells)
-    return best
+    if perm is not None:
+        perm[:] = labelling
+    return best, cells
+
+
+def _stable_colors(stable: list) -> bytes:
+    """The stable colouring in canonical labels, from its ordered cells
+    (vertex masks or vertex lists): canonical vertex l has colour
+    colors[l].  Every leaf keeps the stable cells in order, so cell i
+    holds the i-th run of canonical labels."""
+    return b"".join([bytes((i,)) * (len(cell) if type(cell) is list
+                                    else cell.bit_count())
+                     for i, cell in enumerate(stable)])
 
 
 # canonical faces -> the one key of that class, and dense view of a
-# connected position -> (its class key, its stable colouring: vertex v has
-# colour colors[v]); both bounded as the analysis caches are, and holding
-# no complex
+# connected position -> (its class key, its canonical labelling: view
+# vertex v has canonical label perm[v]); both bounded as the analysis
+# caches are, and holding no complex
 class_keys: dict[tuple[int, ...], CanonicalKey] = {}
 view_keys: dict[tuple[int, ...], tuple[CanonicalKey, bytes]] = {}
 
 
-def _view_key(view: tuple[int, ...]) -> CanonicalKey:
-    """The canonical key of a connected position, given as its dense view."""
+def view_entry(view: tuple[int, ...]) -> tuple[CanonicalKey, bytes]:
+    """(class key, canonical labelling) of a connected position, given as
+    its dense view: its view_keys entry, made by a canonical search on a
+    miss."""
     entry = view_keys.get(view)
     if entry is None:
-        colors = bytearray(view[-1].bit_length())
+        perm = bytearray(view[-1].bit_length())
+        stable: list = []
         # the canonical faces come sorted by mask, so a stable sort by size
         # puts them in (size, mask) order
-        faces = tuple(sorted(canonical_order(view, colors), key=int.bit_count))
+        faces = tuple(sorted(canonical_order(view, perm, stable),
+                             key=int.bit_count))
         key = class_keys.get(faces)
         if key is None:
-            key = CanonicalKey(_encode(faces, exact=True), faces)
+            # the stable colouring is a class invariant: the key holds it
+            # once, in canonical labels
+            key = CanonicalKey(_encode(faces, exact=True), faces,
+                               colors=_stable_colors(stable))
             bounded_store(class_keys, faces, key)
-        entry = key, bytes(colors)
+        entry = key, bytes(perm)
         bounded_store(view_keys, view, entry)
-    return entry[0]
+    return entry
 
 
 def refinement_colors(c: SimplicialComplex | tuple[int, ...]) -> dict[int, int]:
     """Stable vertex coloring of c, a complex or its sorted face tuple;
-    automorphisms preserve color classes.  Read off c's view entry when
-    view_keys holds one: its canonical search started from this colouring.
+    automorphisms preserve color classes.  Read off the class key when
+    view_keys holds c's view: vertex v has colour key.colors[perm[v]], and
+    no refinement runs.
     """
     faces = c if type(c) is tuple else sorted(c.faces)
     vmask = reduce(or_, faces, 0)
@@ -431,7 +481,10 @@ def refinement_colors(c: SimplicialComplex | tuple[int, ...]) -> dict[int, int]:
     view = tuple(squeeze(faces, vmask))  # c itself when c is a dense view
     entry = view_keys.get(view)
     if entry is not None:
-        return dict(zip(verts, entry[1]))
+        # perm's bytes are canonical labels: translate maps each through
+        # the class colouring, padded to a 256-byte table
+        key, perm = entry
+        return dict(zip(verts, perm.translate(key.colors.ljust(256, b"\0"))))
     n = len(verts)
     colors = [0] * n
     graph = _graph_rows(view, n)
@@ -478,7 +531,7 @@ def canonical_key(c: SimplicialComplex) -> CanonicalKey:
     parts = components(c)
     if len(parts) > 1:
         return union_key([canonical_key(p) for p in parts])
-    return _view_key(dense_view(c))
+    return view_entry(dense_view(c))[0]
 
 
 def position_key(c: SimplicialComplex | tuple[int, ...]) -> CanonicalKey:
@@ -492,7 +545,7 @@ def position_key(c: SimplicialComplex | tuple[int, ...]) -> CanonicalKey:
     if type(c) is tuple:
         if c[-1].bit_length() > DEFAULT_CANON_BOUND:
             return CanonicalKey(_encode(c, exact=False), c, exact=False)
-        return _view_key(c)
+        return view_entry(c)[0]
     try:
         return canonical_key(c)
     except CanonicalizationBoundError:

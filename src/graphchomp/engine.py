@@ -13,6 +13,17 @@ the involution search read that same view; no complex is built for a
 node, and the fixed set of a reduction is the position without the stars
 of the moved vertices.  The involution search finds the stable colouring
 on the view's entry in canon, so the engine hands no colouring on.
+
+Every fresh-table solve meets the same sub-positions under new labels,
+which canon's view entries match only label for label.  So the class move
+record (class_moves) holds, for each canonical class expanded before, the
+key of every part of its children, named by the move face and the part's
+vertex set in the class's canonical labels.  A later expansion of the
+class, in any solve, table or labelling, reads each part's key there; a
+part that becomes a node registers its view in canon with the labelling
+the record holds for it, so the closed forms and the involution search
+still read the node's own root-order view.  Only the key is cached, so
+every lookup, insert and statistic stays the same.
 """
 
 from __future__ import annotations
@@ -27,7 +38,14 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Optional
 
-from .canon import DEFAULT_CANON_BOUND, CanonicalKey, position_key, union_key
+from .canon import (
+    DEFAULT_CANON_BOUND,
+    CanonicalKey,
+    position_key,
+    union_key,
+    view_entry,
+    view_keys,
+)
 from .closed_forms import (
     engine_certified_value,
     engine_fast_value,
@@ -296,6 +314,41 @@ def _root_context(c: SimplicialComplex) -> _Root:
     return _last_root
 
 
+# The class move record.  A class digest maps to True once a node of that
+# class has been expanded.  From its second expansion on, each expansion
+# records every part it keys afresh: (class digest, move, part) -> (the
+# part's class key, labels), where the move face and the part's vertex set
+# are masks in the class's canonical labels (the move is 0 when it is not
+# inside the part, which is then the class's faces on those vertices, as a
+# part of a reduction's fixed set is) and labels[l] is the part's canonical
+# label of the class's label l.  The three determine the part's faces, so
+# a later expansion of the class, under any labelling, reads the part's key
+# here instead of canonicalizing its view.  Bounded as the analysis caches
+# are: all entries together count against CACHE_SIZE.
+class_moves: dict = {}
+
+
+class _Parent:
+    """An expanded node whose children are keyed through the record: its
+    class digest and its labelling, perm[i] the canonical label of its
+    i-th root vertex in vmask.  label, the canonical label of each root
+    vertex, is made when a child part first misses _Root.keys."""
+
+    __slots__ = ("digest", "vmask", "perm", "_label")
+
+    def __init__(self, digest: bytes, vmask: int, perm: bytes):
+        self.digest = digest
+        self.vmask = vmask
+        self.perm = perm
+        self._label = None
+
+    @property
+    def label(self) -> dict[int, int]:
+        if self._label is None:
+            self._label = dict(zip(vertices_of(self.vmask), self.perm))
+        return self._label
+
+
 class _Solver:
     def __init__(self, root: _Root, cfg: EngineConfig,
                  table: TranspositionTable, node_budget: Optional[int]):
@@ -309,14 +362,18 @@ class _Solver:
         # to the table, and emptying it when full changes no statistic
         self.memo: dict[int, int] = {}
 
-    def value(self, pos: int) -> int:
+    def value(self, pos: int, parent: Optional[_Parent] = None,
+              move: Optional[int] = None) -> int:
+        """The value of pos, a child of parent's node after the move
+        faces[move] (None for a reduction's fixed set) when parent is
+        given."""
         if not pos:
             return 0
         if not self.cfg.use_decomposition or pos in self.memo:
             return self.component_value(pos)
         total = 0
         for part in self.root.parts(pos):
-            total ^= self.component_value(part)
+            total ^= self.component_value(part, parent, move)
         return total
 
     def key(self, pos: int, view: tuple[int, ...]) -> CanonicalKey:
@@ -331,17 +388,68 @@ class _Solver:
                     [position_key(self.root.view(p)[0]) for p in parts])
         return position_key(view)
 
-    def component_value(self, pos: int) -> int:
+    def parent(self, digest: bytes, view: tuple[int, ...],
+               vmask: int) -> Optional[_Parent]:
+        """The record context of a node about to be expanded, or None on
+        its class's first expansion (which leaves the marker), with
+        decomposition off or when canon holds no labelling of the view (a
+        labeled key above the canonical bound has none)."""
+        if not self.cfg.use_decomposition:
+            return None
+        if digest not in class_moves:
+            bounded_store(class_moves, digest, True)
+            return None
+        entry = view_keys.get(view)
+        if entry is None:
+            return None
+        return _Parent(digest, vmask, entry[1])
+
+    def recorded_key(self, pos: int, parent: _Parent, move: Optional[int]):
+        """(view, vmask, digest, hit) of a connected part pos of a child of
+        parent: hit is the record entry, and view None, when the record
+        knows the part; otherwise the part is keyed from its view and
+        recorded."""
+        root = self.root
+        faces = root.members(pos)
+        vmask = reduce(or_, faces)
+        label = parent.label
+        part = 0
+        for v in vertices_of(vmask):
+            part |= 1 << label[v]
+        m = 0
+        if move is not None:
+            for v in vertices_of(root.faces[move]):
+                m |= 1 << label[v]
+            if m & ~part:
+                m = 0
+        name = parent.digest, m, part
+        hit = class_moves.get(name)
+        if hit is not None:
+            return None, vmask, hit[0].digest, hit
+        view = tuple(squeeze(faces, vmask))
+        key, perm = view_entry(view)
+        labels = bytearray(len(label))
+        for v, p in zip(vertices_of(vmask), perm):
+            labels[label[v]] = p
+        bounded_store(class_moves, name, (key, bytes(labels)))
+        return view, vmask, key.digest, None
+
+    def component_value(self, pos: int, parent: Optional[_Parent] = None,
+                        move: Optional[int] = None) -> int:
         value = self.memo.get(pos)
         if value is not None:
             self.table.hits += 1
             return value
         root = self.root
-        view = None
+        view = recorded = None
         digest = root.keys.get(pos)
         if digest is None:
-            view, vmask = root.view(pos)
-            digest = self.key(pos, view).digest
+            if parent is None:
+                view, vmask = root.view(pos)
+                digest = self.key(pos, view).digest
+            else:
+                view, vmask, digest, recorded = self.recorded_key(
+                    pos, parent, move)
             bounded_store(root.keys, pos, digest)
         value = self.table.lookup(digest)
         if value is not None:
@@ -350,8 +458,13 @@ class _Solver:
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
             raise BudgetExceededError("node budget exceeded", self.table.stats())
-        if view is None:  # keyed before, perhaps under another configuration
+        if view is None:  # keyed before or from the record
             view, vmask = root.view(pos)
+            if recorded is not None:
+                key, labels = recorded
+                label = parent.label
+                perm = bytes([labels[label[v]] for v in vertices_of(vmask)])
+                bounded_store(view_keys, view, (key, perm))
 
         stats = None
         if self.cfg.use_closed_forms:
@@ -367,7 +480,8 @@ class _Solver:
                 moved = 0
                 for a, b in involution.pairs:
                     moved |= root.star[verts[a]] | root.star[verts[b]]
-                value = self.value(pos & ~moved)
+                value = self.value(pos & ~moved,
+                                   self.parent(digest, view, vmask))
         if value is None and self.cfg.use_closed_forms and \
                 wants_simplest_certificate(view, stats):
             hit = engine_certified_value(view, stats)
@@ -375,11 +489,13 @@ class _Solver:
                 value = hit[0]
 
         if value is None:
+            parent = self.parent(digest, view, vmask)
             seen = set()
             rest = pos
             while rest:
                 low = rest & -rest
-                seen.add(self.value(root.child(pos, low.bit_length() - 1)))
+                i = low.bit_length() - 1
+                seen.add(self.value(root.child(pos, i), parent, i))
                 rest ^= low
             value = mex(seen)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from graphchomp import canon
+from graphchomp import canon, engine
 from graphchomp.canon import (
     CanonicalizationBoundError,
     canonical_key,
@@ -374,19 +374,33 @@ def test_refinement_matches_reference(pair):
     lambda c: st.tuples(st.just(c), permutations_of(c))))
 @settings(max_examples=150)
 def test_views_key_like_their_complexes(pair):
-    # a dense view orders and keys as its complex does, and the colouring
-    # its search leaves behind is the reference colouring in the view's
-    # labels
+    # a dense view orders and keys as its complex does, its labelling
+    # relabels the view onto the canonical faces, and the stable cells its
+    # search starts from, read in canonical labels, give the reference
+    # colouring in the view's labels; the view entry holds (key,
+    # labelling), and the key the colouring in canonical labels
     c, mapping = pair
     c = relabel(c, mapping, c.ground_size + 2)
     view = dense_view(c)
-    colors = bytearray(len(c.vertices()))
-    assert canonical_order(view, colors) == canonical_order(c)
-    assert list(colors) == list(_reference_colors(c).values())
+    n = len(c.vertices())
+    perm = bytearray(n)
+    stable = []
+    canon_faces = canonical_order(view, perm, stable)
+    assert canon_faces == canonical_order(c)
+    canon_colors = canon._stable_colors(stable)
+    colors = [canon_colors[perm[v]] for v in range(n)]
+    assert colors == list(_reference_colors(c).values())
+    assert sorted(perm) == list(range(n))
+    assert tuple(sorted(sum(1 << perm[v] for v in vertices_of(f))
+                        for f in view)) == canon_faces
     if len(components(c)) == 1:
         key = position_key(view)
         assert key == position_key(c)
-        assert canon.view_keys[view] == (key, colors)
+        assert canon.view_keys[view][0] is key
+        labelling = canon.view_keys[view][1]
+        assert type(labelling) is bytes and sorted(labelling) == \
+            list(range(n))
+        assert [key.colors[labelling[v]] for v in range(n)] == colors
 
 
 def test_relabelings_share_one_class_key():
@@ -402,9 +416,10 @@ def test_relabelings_share_one_class_key():
     keys = [position_key(view) for view in views]
     assert keys[0] is keys[1]
     for view, d in zip(views, (c, other)):
-        key, colors = canon.view_keys[view]
+        key, perm = canon.view_keys[view]
         assert key is keys[0]
-        assert list(colors) == list(_reference_colors(d).values())
+        assert [key.colors[p] for p in perm] == \
+            list(_reference_colors(d).values())
     assert canon.class_keys[keys[0].faces] is keys[0]
 
 
@@ -421,8 +436,10 @@ def test_one_digest_per_canonical_class(monkeypatch):
     monkeypatch.setattr(canon, "_encode", counted)
     canon.view_keys.clear()
     canon.class_keys.clear()
+    engine.class_moves.clear()
     for seed in range(6):
         grundy(erdos_renyi(7, 0.5, seed), table=TranspositionTable())
-    classes = {key.faces for key, _ in canon.view_keys.values()}
+    classes = set(canon.class_keys)
+    assert {key.faces for key, _ in canon.view_keys.values()} <= classes
     assert len(encoded) == len(set(encoded)) == len(classes)
     assert len(classes) < len(canon.view_keys)

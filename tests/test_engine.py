@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,8 @@ from graphchomp.families import (
     erdos_renyi,
     path,
     random_complex,
+    torus_3x3,
+    wheel,
 )
 from graphchomp.oracle import oracle_grundy
 
@@ -235,6 +238,7 @@ def test_context_caches_stay_bounded(monkeypatch):
     monkeypatch.setattr(complexes, "CACHE_SIZE", 5)
     canon.view_keys.clear()
     canon.class_keys.clear()
+    engine.class_moves.clear()
     for (c, cfg), want in zip(cases, expected):
         assert grundy(c, cfg, TranspositionTable(), full_spectrum=True) == want
         solver = engine._Solver(engine._Root(c), cfg, TranspositionTable(), None)
@@ -242,20 +246,134 @@ def test_context_caches_stay_bounded(monkeypatch):
         assert len(solver.memo) <= 5 and len(solver.root.keys) <= 5, cfg
         assert len(canon.view_keys) <= 5, cfg
         assert len(canon.class_keys) <= 5, cfg
+        assert len(engine.class_moves) <= 5, cfg
 
 
 def _fresh_caches():
-    for cache in (canon.view_keys, canon.class_keys,
+    for cache in (canon.view_keys, canon.class_keys, engine.class_moves,
                   canon.canonical_key.cache, complexes.components.cache):
         cache.clear()
     engine._last_root = None
+
+
+def _cold_caches():
+    _fresh_caches()
+    symmetry._first_involution.cache.clear()
+
+
+def _relabeled_cases():
+    """A seeded list of (position, configuration, full_spectrum):
+    relabeled copies (every second one with label gaps) of random graphs,
+    random complexes and wheels under all 8 configurations, the torus under
+    the four with reduction (value 0, so no witness search) and path(18)
+    wherever every labeled subset of it is not a node.  The configurations
+    share the record, so each class meets it several times."""
+    rng = random.Random(22)
+    base = [erdos_renyi(7, 0.5, 11), erdos_renyi(7, 0.6, 3),
+            random_complex(7, 4), random_complex(8, 2, facet_count=5),
+            wheel(5), wheel(6)]
+    positions = []
+    for i, c in enumerate(base):
+        verts = list(c.vertices())
+        ground = len(verts) + 3 * (i % 2)
+        positions.append(relabel(
+            c, dict(zip(verts, rng.sample(range(ground), len(verts)))),
+            ground))
+    cases = [(c, cfg, True) for cfg in CONFIGS for c in positions]
+    cases += [(torus_3x3(), cfg, False) for cfg in CONFIGS
+              if cfg.use_reduction]
+    cases += [(path(18), cfg, True) for cfg in CONFIGS
+              if cfg.use_decomposition or cfg.use_closed_forms]
+    return cases
+
+
+def test_warm_caches_give_the_records_of_cold_ones():
+    # solved back to back, each with a fresh table, later solves key their
+    # parts from the class records the earlier ones left; every record
+    # equals that of the same solve with every module cache cleared first
+    cases = _relabeled_cases()
+    _cold_caches()
+    warm = [grundy(c, cfg, TranspositionTable(), full_spectrum=full)
+            for c, cfg, full in cases]
+    assert any(type(name) is tuple for name in engine.class_moves)
+    for (c, cfg, full), want in zip(cases, warm):
+        _cold_caches()
+        assert grundy(c, cfg, TranspositionTable(),
+                      full_spectrum=full) == want, cfg
+
+
+def test_recorded_keys_are_the_keys_of_their_views(monkeypatch):
+    # after warm solves of relabeled copies, every key a solve stored,
+    # many of them read off the class records, is the key of the
+    # position's own complex
+    c = erdos_renyi(7, 0.5, 11)
+    _cold_caches()
+    hits = []
+    original = engine._Solver.recorded_key
+
+    def counted(self, pos, parent, move):
+        out = original(self, pos, parent, move)
+        hits.append(out[3] is not None)
+        return out
+
+    monkeypatch.setattr(engine._Solver, "recorded_key", counted)
+    rng = random.Random(7)
+    for _ in range(3):
+        d = relabel(c, dict(zip(range(7), rng.sample(range(7), 7))), 7)
+        grundy(d, EngineConfig(), TranspositionTable(), full_spectrum=True)
+        root = engine._last_root
+        for pos, digest in root.keys.items():
+            faces = root.members(pos)
+            sub = SimplicialComplex(d.ground_size, frozenset(faces))
+            want = canon.position_key(complexes.dense_complex(
+                faces, sub.vertex_mask))
+            assert digest == want.digest, pos
+    assert sum(hits) > 20
+
+
+def test_class_records_stay_bounded(monkeypatch):
+    # every record entry, markers included, counts against CACHE_SIZE; the
+    # record is emptied when full, and that changes no value, witness or
+    # statistic
+    cases = [case for case in _relabeled_cases()
+             if case[1].use_decomposition]
+    _cold_caches()
+    expected = [grundy(c, cfg, TranspositionTable(), full_spectrum=full)
+                for c, cfg, full in cases]
+    monkeypatch.setattr(complexes, "CACHE_SIZE", 5)
+    _cold_caches()
+    for (c, cfg, full), want in zip(cases, expected):
+        assert grundy(c, cfg, TranspositionTable(),
+                      full_spectrum=full) == want, cfg
+        assert len(engine.class_moves) <= 5
+
+
+def test_third_relabeled_solve_reads_its_keys_off_the_record(monkeypatch):
+    # the first solve leaves a marker per expanded class and the second
+    # records their parts, so a third fresh-table solve of another
+    # labelling keys its parts from the record, with the same nodes
+    c = erdos_renyi(7, 0.5, 11)
+    _cold_caches()
+    counts = _count_refinements(monkeypatch)
+    rng = random.Random(11)
+    searches, nodes = [], []
+    for _ in range(3):
+        d = relabel(c, dict(zip(range(7), rng.sample(range(7), 7))), 7)
+        before = counts["canonical_order"]
+        rec = grundy(d, EngineConfig(), TranspositionTable())
+        searches.append(counts["canonical_order"] - before)
+        nodes.append(rec.stats["nodes"])
+    assert nodes[0] == nodes[1] == nodes[2] > 0
+    assert searches[2] * 4 <= searches[0]
 
 
 def test_keyed_parts_fill_only_the_view_memo():
     # each new connected part is keyed from its dense view: one entry in
     # canon.view_keys, and no complex kept in components.cache; a fresh
     # table knows no part of the root, so the root is not split through
-    # components either, and nothing is keyed as a complex
+    # components either, and nothing is keyed as a complex.  The class
+    # record starts empty too, so no part is keyed from it: a first solve
+    # expands each class once and leaves only its marker
     c = erdos_renyi(7, 0.5, 11)
     _fresh_caches()
     grundy(c, EngineConfig(), TranspositionTable(), full_spectrum=True)
@@ -263,6 +381,8 @@ def test_keyed_parts_fill_only_the_view_memo():
     views = {root.view(pos)[0] for pos in root.keys}
     assert len(root.keys) > 30
     assert set(canon.view_keys) == views
+    assert engine.class_moves
+    assert all(type(name) is bytes for name in engine.class_moves)
     assert not complexes.components.cache
     assert not canon.canonical_key.cache
 
