@@ -427,14 +427,19 @@ def _complex_search(view: tuple[int, ...], n: int,
     return best, cells
 
 
-def _stable_colors(stable: list) -> bytes:
+# _ONE_BYTE[i] is the byte string of i alone
+_ONE_BYTE = [bytes((i,)) for i in range(256)]
+
+
+def _stable_colors(stable: list, n: int) -> bytes:
     """The stable colouring in canonical labels, from its ordered cells
-    (vertex masks or vertex lists): canonical vertex l has colour
-    colors[l].  Every leaf keeps the stable cells in order, so cell i
-    holds the i-th run of canonical labels."""
-    return b"".join([bytes((i,)) * (len(cell) if type(cell) is list
-                                    else cell.bit_count())
-                     for i, cell in enumerate(stable)])
+    (vertex masks or vertex lists) on n vertices: canonical vertex l has
+    colour colors[l].  Every leaf keeps the stable cells in order, so cell
+    i holds the i-th run of canonical labels."""
+    if len(stable) == n:  # discrete: cell l holds canonical vertex l
+        return bytes(range(n))
+    sizes = map(len if type(stable[0]) is list else int.bit_count, stable)
+    return b"".join(map(bytes.__mul__, _ONE_BYTE, sizes))
 
 
 # canonical faces -> the one key of that class, and dense view of a
@@ -451,7 +456,8 @@ def view_entry(view: tuple[int, ...]) -> tuple[CanonicalKey, bytes]:
     miss."""
     entry = view_keys.get(view)
     if entry is None:
-        perm = bytearray(view[-1].bit_length())
+        n = view[-1].bit_length()
+        perm = bytearray(n)
         stable: list = []
         # the canonical faces come sorted by mask, so a stable sort by size
         # puts them in (size, mask) order
@@ -461,8 +467,8 @@ def view_entry(view: tuple[int, ...]) -> tuple[CanonicalKey, bytes]:
         if key is None:
             # the stable colouring is a class invariant: the key holds it
             # once, in canonical labels
-            key = CanonicalKey(_encode(faces, exact=True), faces,
-                               colors=_stable_colors(stable))
+            key = CanonicalKey(_encode(faces, exact=True), faces, True,
+                               _stable_colors(stable, n))
             bounded_store(class_keys, faces, key)
         entry = key, bytes(perm)
         bounded_store(view_keys, view, entry)

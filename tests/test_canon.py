@@ -387,7 +387,7 @@ def test_views_key_like_their_complexes(pair):
     stable = []
     canon_faces = canonical_order(view, perm, stable)
     assert canon_faces == canonical_order(c)
-    canon_colors = canon._stable_colors(stable)
+    canon_colors = canon._stable_colors(stable, n)
     colors = [canon_colors[perm[v]] for v in range(n)]
     assert colors == list(_reference_colors(c).values())
     assert sorted(perm) == list(range(n))

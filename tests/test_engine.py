@@ -304,8 +304,11 @@ def test_warm_caches_give_the_records_of_cold_ones():
 
 def test_recorded_keys_are_the_keys_of_their_views(monkeypatch):
     # after warm solves of relabeled copies, every key a solve stored,
-    # many of them read off the class records, is the key of the
-    # position's own complex
+    # many of them read off the class records, is the key a canonical
+    # search gives the position's own complex once every cache is cleared
+    # (a node keyed from the record registers its view with the record's
+    # labelling, so a warm view entry would check the record against
+    # itself)
     c = erdos_renyi(7, 0.5, 11)
     _cold_caches()
     hits = []
@@ -318,17 +321,20 @@ def test_recorded_keys_are_the_keys_of_their_views(monkeypatch):
 
     monkeypatch.setattr(engine._Solver, "recorded_key", counted)
     rng = random.Random(7)
+    stored = []
     for _ in range(3):
         d = relabel(c, dict(zip(range(7), rng.sample(range(7), 7))), 7)
         grundy(d, EngineConfig(), TranspositionTable(), full_spectrum=True)
         root = engine._last_root
-        for pos, digest in root.keys.items():
-            faces = root.members(pos)
-            sub = SimplicialComplex(d.ground_size, frozenset(faces))
-            want = canon.position_key(complexes.dense_complex(
-                faces, sub.vertex_mask))
-            assert digest == want.digest, pos
+        stored += [(d.ground_size, root.members(pos), digest)
+                   for pos, digest in root.keys.items()]
     assert sum(hits) > 20
+    _cold_caches()
+    for ground, faces, digest in stored:
+        sub = SimplicialComplex(ground, frozenset(faces))
+        want = canon.position_key(complexes.dense_complex(
+            faces, sub.vertex_mask))
+        assert digest == want.digest, faces
 
 
 def test_class_records_stay_bounded(monkeypatch):
