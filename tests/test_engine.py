@@ -370,7 +370,7 @@ def test_third_relabeled_solve_reads_its_keys_off_the_record(monkeypatch):
         searches.append(counts["canonical_order"] - before)
         nodes.append(rec.stats["nodes"])
     assert nodes[0] == nodes[1] == nodes[2] > 0
-    assert searches[2] * 4 <= searches[0]
+    assert searches[0] > 0 and searches[2] * 4 <= searches[0]
 
 
 def test_keyed_parts_fill_only_the_view_memo():
