@@ -1,36 +1,40 @@
 """Isomorphism-invariant canonical keys for small complexes.
 
-A colouring is an ordered list of cells, and a vertex's colour is the index
-of its cell.  The stable colouring (`refinement_colors`) and the canonical
-search (`canonical_order`) share one colour refinement for graphs and one
-for complexes.  Each synchronous round splits every cell by the signature
-(colour, presence, sorted neighbour colours) for graphs, or (colour, sorted
-incident face ranks) for complexes, and orders the parts by it, so colour
-ranks, canonical faces and their digests are those of these signatures.
-Neither builds a signature for a vertex in a singleton cell or in a cell
-that does not split.
+A colouring is an ordered list of cells, vertex masks, and a vertex's
+colour is the index of its cell.  The stable colouring (`refinement_colors`)
+and the canonical search (`canonical_order`) share one colour refinement
+for graphs and complexes.  Each synchronous round splits every cell by the
+signature (colour, presence, sorted neighbour colours) for a graph, or
+(colour, sorted incident face ranks) for a complex, and orders the parts by
+it, so colour ranks, canonical faces and their digests are those of these
+signatures.  A face's rank orders its key (size, sorted member colours).
 
-A graph, a view whose faces have at most 2 vertices, refines and searches
-on neighbour rows that one pass over the view builds (`_graph_rows`), and
-its cells are vertex masks.  Two vertices of one cell differ only in their
-neighbour counts in the parts the previous round split off, and their
-signatures order as those counts do, reversed; a round splits each cell by
-the bit planes of the counts, highest first (`_row_rounds`).  The first
-round from the uniform colouring ranks by (presence, degree).  A complex
-refines on vertex lists (`_refiner`): a round groups the vertices of each
-non-singleton cell by a packed multiset of incident face ids, and sorted
-signatures order the parts of a cell only when it splits.
+No round builds a signature.  After the first, two vertices of one cell
+differ only in their counts in what the round before split off, and their
+signatures order as those counts do, reversed; a round (`_round`) splits
+each cell by the bit planes of the counts, highest first.  Graphs and
+complexes differ only in where the counts come from (`_rounds`).  A graph,
+a view whose faces have at most 2 vertices, counts neighbours in the cells
+split off, on neighbour rows that one pass over the view builds
+(`_view_rows`).  A complex counts incident faces in the face classes split
+off, a face class being the faces of one key, as a mask over face indices;
+the classes split by the same rounds, on each vertex's incident faces.  The
+first round from the uniform colouring ranks a graph's vertices by
+(presence, degree) and a complex's by their sorted incident face sizes,
+compared as tuples.
 
-The canonical search individualizes each vertex of the first non-singleton
-cell in turn (the cell becomes [v], rest) and keeps the lexicographically
-minimal relabeled face list over the leaves, each read off its singleton
-cells; a graph's leaf is pb[a] | pb[b] over its edges (a, b) and pb[v] over
-its singleton faces, with pb[v] the bit of v's position in the leaf.  The
-first minimal leaf is also the canonical labelling: perm[v], the position
-of view vertex v in it, relabels the view onto the canonical faces.
-Cells whose members are pairwise interchangeable (every transposition
-inside the cell is an automorphism) branch on a single representative,
-which keeps cliques and co-cliques cheap.
+The canonical search (`_search`) individualizes each vertex of the first
+non-singleton cell in turn (the cell becomes [v], rest), refines on from
+the stable colouring's classes, and keeps the lexicographically minimal
+relabeled face list over the leaves, the discrete colourings.  A leaf is
+pb[a] | pb[b] over the edges (a, b), pb[v] over the singleton faces and
+the OR of pb over the members of a larger face, with pb[v] the bit of v's
+position in the leaf.  The first minimal leaf is also the canonical
+labelling: perm[v], the position of view vertex v in it, relabels the
+view onto the canonical faces.  Cells whose members are pairwise
+interchangeable (every transposition inside the cell is an automorphism)
+branch on a single representative, which keeps cliques and co-cliques
+cheap.
 
 Keys are computed on dense views: a connected position's faces relabeled
 onto 0..n-1 in label order and sorted.  `view_keys` maps a view to the
@@ -99,15 +103,17 @@ def labeled_key(c: SimplicialComplex) -> CanonicalKey:
     return CanonicalKey(_encode(faces, exact=False), faces, exact=False)
 
 
-def _graph_rows(view: tuple[int, ...], n: int):
-    """One pass over a dense view: (rows, present, edges, singles), the
-    neighbour bitmask of each vertex, the mask of the vertices that are
-    faces, the edges as (a, b) pairs with a < b and the singleton faces as
-    vertices; None when a face has 3 or more vertices."""
+def _view_rows(view: tuple[int, ...], n: int):
+    """One pass over a dense view: (rows, present, edges, singles, larger),
+    the neighbour bitmask of each vertex, the mask of the vertices that are
+    faces, the edges as (a, b) pairs with a < b, the singleton faces as
+    vertices and the faces of 3 or more vertices as masks (none for a
+    graph)."""
     rows = [0] * n
     present = 0
     edges = []
     singles = []
+    larger = []
     for f in view:
         low = f & -f
         high = f ^ low
@@ -115,124 +121,206 @@ def _graph_rows(view: tuple[int, ...], n: int):
             present |= f
             singles.append(low.bit_length() - 1)
         elif high & (high - 1):
-            return None
+            larger.append(f)
         else:
             a = low.bit_length() - 1
             b = high.bit_length() - 1
             rows[a] |= high
             rows[b] |= low
             edges.append((a, b))
-    return rows, present, edges, singles
+    return rows, present, edges, singles, larger
 
 
-def _row_rounds(rows: list[int], cells: list[int],
-                fresh: list[int]) -> list[int]:
-    """Graph rounds on neighbour rows until none splits a cell; cells and
-    the fresh parts are vertex masks.
+def _round(rows: list[int], cells: list[int], fresh: list[int]):
+    """One round: split every cell by the count planes of the fresh parts,
+    masks over the indices of rows.  A part's counts are the bitwise sum
+    of its members' rows, so each member counts 1 for every bit of its
+    row.  Each count is read as bit planes, highest first, and a plane
+    splits every part of a cell into its members in the plane, then the
+    others; so the parts of a cell come in descending order of their
+    counts, compared fresh part by fresh part.  Returns (cells, fresh),
+    fresh now the parts split off: each split cell's parts but its last,
+    in order."""
+    planes: list[int] = []
+    for part in fresh:
+        if part & (part - 1):
+            counts: list[int] = []  # counts[j]: bit j of each count
+            while part:
+                low = part & -part
+                part ^= low
+                add = rows[low.bit_length() - 1]
+                for j, plane in enumerate(counts):
+                    counts[j] = plane ^ add
+                    add &= plane
+                    if not add:
+                        break
+                else:
+                    counts.append(add)
+            planes += reversed(counts)
+        else:
+            # a one-member part's one plane is its row
+            planes.append(rows[part.bit_length() - 1])
+    out: list[int] = []
+    fresh = []
+    for cell in cells:
+        if not cell & (cell - 1):
+            out.append(cell)
+            continue
+        parts = [cell]
+        for plane in planes:
+            split = []
+            for p in parts:
+                inside = p & plane
+                if inside and inside != p:
+                    split += inside, p ^ inside
+                else:
+                    split.append(p)
+            parts = split
+        out += parts
+        fresh += parts[:-1]
+    return out, fresh
 
-    Two vertices of one cell had equal neighbour counts in every cell of
-    the round before, and equal presence, so their signatures differ only
-    in their counts in the parts the last round split off (`fresh`, in
-    colour order; a split cell's last part follows from the others).  Of
-    two signatures the smaller has the larger count at the first colour
-    where they differ, so the parts of a cell come in descending order of
-    these counts, compared fresh part by fresh part.  Each count is read
-    as bit planes, highest first, and a plane splits every part into its
-    members in the plane, then the others: a fresh vertex's row is its one
-    plane, and the planes of a larger fresh part are the bitwise sum of
-    its members' rows.
+
+def _rounds(rows: list[int], cells: list[int], fresh: list[int],
+            incident: Optional[list[int]] = None,
+            classes: Optional[list[int]] = None):
+    """Rounds until none splits a cell: (cells, classes).  cells are
+    vertex masks, and fresh the parts the round before split off, in
+    colour order (a split cell's last part follows from the others).
+
+    Two vertices of one cell had equal counts in everything the round
+    before counted, so their signatures differ only in their counts in
+    what was split off since.  Those signatures are sorted lists of equal
+    length, so the smaller has the larger count at the first entry where
+    the counts differ, and a round (_round) splits the cells by these
+    counts, in order.  Graphs and complexes differ only in what is
+    counted.  For a graph, rows are the neighbour rows and a vertex counts
+    its neighbours in each fresh part.  For a complex, rows are its faces,
+    incident[v] is the mask of the indices of the faces that hold v, and
+    classes are the face classes of the round before, masks over face
+    indices: the faces of one key (size, sorted member colours).  The
+    faces of a class differ only in their member counts in the fresh
+    parts, so a round on incident splits the classes, each into parts in
+    key order, and a vertex counts its faces in each class split off (a
+    split class's last part, in key order, follows from the others).
+    Those are sorted by key, and a class none of whose faces holds a
+    vertex of a cell of 2 or more can split nothing.  A discrete
+    colouring ends the rounds, as it has nothing to split; its classes
+    are then those of the round before.
     """
-    while fresh:
-        planes: list[int] = []
-        for part in fresh:
-            if part & (part - 1):
-                counts: list[int] = []  # counts[j]: bit j of each count
-                while part:
-                    low = part & -part
-                    part ^= low
-                    add = rows[low.bit_length() - 1]
-                    for j, plane in enumerate(counts):
-                        counts[j] = plane ^ add
-                        add &= plane
-                        if not add:
-                            break
-                    else:
-                        counts.append(add)
-                planes += reversed(counts)
-            else:
-                planes.append(rows[part.bit_length() - 1])
-        out: list[int] = []
-        fresh = []
-        for cell in cells:
-            if not cell & (cell - 1):
-                out.append(cell)
-                continue
-            parts = [cell]
-            for plane in planes:
-                split = []
-                for p in parts:
-                    inside = p & plane
-                    if inside and inside != p:
-                        split += inside, p ^ inside
-                    else:
-                        split.append(p)
-                parts = split
-            out += parts
-            fresh += parts[:-1]
-        cells = out
-    return cells
+    n = len(rows if incident is None else incident)
+    while fresh and len(cells) < n:
+        if incident is not None:
+            classes, fresh = _round(incident, classes, fresh)
+            if len(fresh) > 1:
+                near = 0
+                for cell in cells:
+                    if cell & (cell - 1):
+                        while cell:
+                            low = cell & -cell
+                            cell ^= low
+                            near |= incident[low.bit_length() - 1]
+                fresh = [c for c in fresh if c & near]
+                # a key is (size, member counts per cell, larger first)
+                fresh.sort(key=lambda c: (
+                    rows[(c & -c).bit_length() - 1].bit_count(),
+                    [-(rows[(c & -c).bit_length() - 1] & cell).bit_count()
+                     for cell in cells]))
+        cells, fresh = _round(rows, cells, fresh)
+    return cells, classes
 
 
-def _row_stable(rows: list[int], present: int, colors=None) -> list[int]:
+def _row_stable(rows: list[int], present: int) -> list[int]:
     """The stable colouring of a graph as ordered vertex masks; the first
-    round from the uniform colouring ranks by (presence, degree).  Vertex
-    v's colour, the index of its cell, goes to colors[v] when colors is
-    given."""
+    round from the uniform colouring ranks by (presence, degree)."""
     n = len(rows)
     groups: dict[int, int] = {}
     for v in range(n):
         k = (present >> v & 1) * n + rows[v].bit_count()
         groups[k] = groups.get(k, 0) | 1 << v
     cells = [groups[k] for k in sorted(groups)]
-    cells = _row_rounds(rows, cells, cells[:-1])
-    if colors is not None:
-        for i, cell in enumerate(cells):
-            while cell:
-                low = cell & -cell
-                colors[low.bit_length() - 1] = i
-                cell ^= low
-    return cells
+    return _rounds(rows, cells, cells[:-1])[0]
 
 
-def _row_search(rows: list[int], edges: list[tuple[int, int]],
-                singles: list[int], cells: list[int],
-                perm: Optional[bytearray] = None) -> tuple[int, ...]:
-    """The minimal leaf below a graph's stable colouring: the canonical
-    search of canonical_order, on neighbour rows.  perm, when given,
+def _face_stable(view: tuple[int, ...], n: int):
+    """The stable colouring of a complex as ordered vertex masks, with
+    what its rounds read: (cells, classes, faces, incident), for _rounds.
+    The first round from the uniform colouring ranks vertices by their
+    sorted incident face sizes, compared as tuples, so a shorter prefix
+    comes first."""
+    faces = sorted(view, key=int.bit_count)
+    incident = [0] * n
+    sizes: list[list[int]] = [[] for _ in range(n)]
+    by_size: dict[int, int] = {}
+    for i, f in enumerate(faces):
+        bit = 1 << i
+        size = f.bit_count()
+        by_size[size] = by_size.get(size, 0) | bit
+        for v in vertices_of(f):
+            incident[v] |= bit
+            sizes[v].append(size)
+    groups: dict[tuple[int, ...], int] = {}
+    for v in range(n):
+        k = tuple(sizes[v])
+        groups[k] = groups.get(k, 0) | 1 << v
+    cells = [groups[k] for k in sorted(groups)]
+    # the classes of the uniform colouring, by size: the faces come in
+    # size order, so by_size does too
+    cells, classes = _rounds(faces, cells, cells[:-1], incident,
+                             list(by_size.values()))
+    return cells, classes, faces, incident
+
+
+def _stable(view: tuple[int, ...], n: int):
+    """The stable colouring of a dense view on n vertices, as ordered
+    vertex masks, with what its search reads: (cells, classes, counts,
+    incident, rows, edges, singles, larger).  The first four are those of
+    _face_stable for a complex; a graph has no classes or incident rows,
+    and counts on its neighbour rows.  The last four are _view_rows'."""
+    rows, present, edges, singles, larger = _view_rows(view, n)
+    if larger:
+        return *_face_stable(view, n), rows, edges, singles, larger
+    return _row_stable(rows, present), None, rows, None, rows, edges, \
+        singles, larger
+
+
+def _search(cells: list[int], classes: Optional[list[int]],
+            counts: list[int], incident: Optional[list[int]],
+            rows: list[int], edges: list[tuple[int, int]],
+            singles: list[int], larger: list[int],
+            perm: Optional[bytearray] = None) -> tuple[int, ...]:
+    """The minimal leaf below a stable colouring, the canonical search of
+    canonical_order, from what _stable returns.  perm, when given,
     receives the position of each vertex in the first minimal leaf."""
     n = len(rows)
     best = None
     labelling = cells
-    stack = [cells]
+    if larger:
+        members = [vertices_of(f) for f in larger]
+        big = frozenset(larger)
+    stack = [(cells, classes)]
     while stack:
-        cells = stack.pop()
-        for i, target in enumerate(cells):
-            if target & (target - 1):
-                break
-        else:
+        cells, classes = stack.pop()
+        if len(cells) == n:
             # a discrete colouring: pb[v] is the bit of v's position in it
             pb = [0] * n
             for i, cell in enumerate(cells):
                 pb[cell.bit_length() - 1] = 1 << i
             leaf = [pb[a] | pb[b] for a, b in edges]
             leaf += map(pb.__getitem__, singles)
+            if larger:
+                leaf += [sum(map(pb.__getitem__, mem)) for mem in members]
             leaf.sort()
             if best is None or leaf < best:
                 best = leaf
                 labelling = cells
             continue
+        for i, target in enumerate(cells):
+            if target & (target - 1):
+                break
         # (u w) is an automorphism iff u and w have the same neighbours
-        # apart from each other; presence is constant within a cell
+        # apart from each other and swapping them maps every face of 3 or
+        # more vertices onto a face; presence is constant within a cell
         low = target & -target
         row = rows[low.bit_length() - 1]
         rest = target ^ low
@@ -240,7 +328,9 @@ def _row_search(rows: list[int], edges: list[tuple[int, int]],
             w = rest & -rest
             rest ^= w
             pair = low | w
-            if rows[w.bit_length() - 1] | pair != row | pair:
+            if rows[w.bit_length() - 1] | pair != row | pair or larger and \
+                    any(f & pair not in (0, pair) and f ^ pair not in big
+                        for f in larger):
                 choices = target
                 break
         else:
@@ -249,105 +339,12 @@ def _row_search(rows: list[int], edges: list[tuple[int, int]],
         while choices:
             v = choices & -choices
             choices ^= v
-            stack.append(_row_rounds(rows, head + [v, target ^ v] + tail, [v]))
+            stack.append(_rounds(counts, head + [v, target ^ v] + tail, [v],
+                                 incident, classes))
     if perm is not None:
         for i, cell in enumerate(labelling):
             perm[cell.bit_length() - 1] = i
     return tuple(best)
-
-
-def _refiner(n: int, fmembers: list[tuple[int, ...]]):
-    """Colour refinement for a complex on 0..n-1 with the given faces, one
-    of them of 3 or more vertices (a graph refines on its rows instead,
-    _row_stable and _row_search).
-
-    Returns (stable, individualize, interchangeable): `stable()` refines
-    the uniform colouring; `individualize(cells, i, v)` splits v off the
-    front of cell i of a stable colouring and refines the result;
-    `interchangeable(cell)` says whether every transposition inside the
-    cell is an automorphism.  Cells are lists sorted by vertex, and rounds
-    run until none splits a cell.
-    """
-    bit = [1 << v for v in range(n)]
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for fi, mem in enumerate(fmembers):
-        for u in mem:
-            incident[u].append(fi)
-    # colour i weighs power[i] in a face's member multiset, and face
-    # id j weighs 1 << vwidth * j in a vertex's incident multiset
-    fwidth = max(map(len, fmembers)).bit_length()
-    power = [1 << fwidth * i for i in range(n)]
-    vwidth = max(map(len, incident)).bit_length()
-    faces = [sum(map(bit.__getitem__, mem)) for mem in fmembers]
-    faces_set = frozenset(faces)
-
-    def splitter(cells: list[list[int]]):
-        colors = [0] * n
-        for i, cell in enumerate(cells):
-            for v in cell:
-                colors[v] = i
-        # faces with equal (size, member colours) share an id
-        weight = list(map(power.__getitem__, colors))
-        ids: dict[int, int] = {}
-        fid = [ids.setdefault(sum(map(weight.__getitem__, mem)), len(ids))
-               for mem in fmembers]
-        fweight = [1 << vwidth * i for i in fid]
-        rank: list[int] = []
-
-        def split(cell: list[int]) -> list[list[int]]:
-            parts: dict[int, list[int]] = {}
-            for v in cell:
-                k = sum(map(fweight.__getitem__, incident[v]))
-                parts.setdefault(k, []).append(v)
-            if len(parts) == 1:
-                return [cell]
-            if not rank:  # rank the ids by (size, sorted member colours)
-                rep: dict[int, tuple[int, ...]] = {}
-                for i, mem in zip(fid, fmembers):
-                    rep.setdefault(i, mem)
-                rank.extend([0] * len(rep))
-                order = sorted(rep, key=lambda i: (
-                    len(rep[i]), sorted(map(colors.__getitem__, rep[i]))))
-                for r, i in enumerate(order):
-                    rank[i] = r
-            return sorted(parts.values(), key=lambda p: sorted(
-                rank[fid[fi]] for fi in incident[p[0]]))
-
-        return split
-
-    def interchangeable(cell: list[int]) -> bool:
-        # transpositions with cell[0] generate all the others
-        bu = bit[cell[0]]
-        for w in cell[1:]:
-            bw = bit[w]
-            for f in faces:
-                if bool(f & bu) != bool(f & bw):
-                    if f ^ bu ^ bw not in faces_set:
-                        return False
-        return True
-
-    def refine(cells: list[list[int]]) -> list[list[int]]:
-        """Rounds until none splits a cell."""
-        while True:
-            split = splitter(cells)
-            out: list[list[int]] = []
-            for cell in cells:
-                if len(cell) > 1:
-                    out += split(cell)
-                else:
-                    out.append(cell)
-            if len(out) == len(cells):
-                return cells
-            cells = out
-
-    def stable() -> list[list[int]]:
-        return refine([list(range(n))])
-
-    def individualize(cells: list[list[int]], i: int, v: int):
-        rest = [u for u in cells[i] if u != v]
-        return refine(cells[:i] + [[v], rest] + cells[i + 1:])
-
-    return stable, individualize, interchangeable
 
 
 def dense_view(c: SimplicialComplex) -> tuple[int, ...]:
@@ -373,58 +370,10 @@ def canonical_order(
     """
     view = c if type(c) is tuple else dense_view(c)
     n = view[-1].bit_length() if view else 0
-    graph = _graph_rows(view, n)
-    if graph is not None:
-        rows, present, edges, singles = graph
-        cells = _row_stable(rows, present)
-        best = _row_search(rows, edges, singles, cells, perm)
-    else:
-        best, cells = _complex_search(view, n, perm)
+    search = _stable(view, n)
     if stable is not None:
-        stable[:] = cells
-    return best
-
-
-def _complex_search(view: tuple[int, ...], n: int,
-                    perm: Optional[bytearray]):
-    """The canonical search of canonical_order for a complex with a face of
-    3 or more vertices: (canonical faces, stable cells)."""
-    fmembers = [vertices_of(f) for f in view]
-    stable, individualize, interchangeable = _refiner(n, fmembers)
-
-    best = labelling = None
-
-    def descend(cells: list[list[int]]):
-        nonlocal best, labelling
-        for i, target in enumerate(cells):
-            if len(target) > 1:
-                break
-        else:
-            # a discrete colouring: the cells are the vertex order
-            pos = [0] * n
-            for i, (v,) in enumerate(cells):
-                pos[v] = i
-            out = []
-            for mem in fmembers:
-                m = 0
-                for u in mem:
-                    m |= 1 << pos[u]
-                out.append(m)
-            out.sort()
-            enc = tuple(out)
-            if best is None or enc < best:
-                best = enc
-                labelling = pos
-            return
-        choices = target[:1] if interchangeable(target) else target
-        for v in choices:
-            descend(individualize(cells, i, v))
-
-    cells = stable()
-    descend(cells)
-    if perm is not None:
-        perm[:] = labelling
-    return best, cells
+        stable[:] = search[0]
+    return _search(*search, perm)
 
 
 # _ONE_BYTE[i] is the byte string of i alone
@@ -433,13 +382,13 @@ _ONE_BYTE = [bytes((i,)) for i in range(256)]
 
 def _stable_colors(stable: list, n: int) -> bytes:
     """The stable colouring in canonical labels, from its ordered cells
-    (vertex masks or vertex lists) on n vertices: canonical vertex l has
-    colour colors[l].  Every leaf keeps the stable cells in order, so cell
-    i holds the i-th run of canonical labels."""
+    (vertex masks) on n vertices: canonical vertex l has colour colors[l].
+    Every leaf keeps the stable cells in order, so cell i holds the i-th
+    run of canonical labels."""
     if len(stable) == n:  # discrete: cell l holds canonical vertex l
         return bytes(range(n))
-    sizes = map(len if type(stable[0]) is list else int.bit_count, stable)
-    return b"".join(map(bytes.__mul__, _ONE_BYTE, sizes))
+    return b"".join(map(bytes.__mul__, _ONE_BYTE,
+                        map(int.bit_count, stable)))
 
 
 # canonical faces -> the one key of that class, and dense view of a
@@ -491,15 +440,9 @@ def refinement_colors(c: SimplicialComplex | tuple[int, ...]) -> dict[int, int]:
         # the class colouring, padded to a 256-byte table
         key, perm = entry
         return dict(zip(verts, perm.translate(key.colors.ljust(256, b"\0"))))
-    n = len(verts)
-    colors = [0] * n
-    graph = _graph_rows(view, n)
-    if graph is not None:
-        _row_stable(*graph[:2], colors)
-        return dict(zip(verts, colors))
-    stable, _, _ = _refiner(n, [vertices_of(f) for f in view])
-    for i, cell in enumerate(stable()):
-        for v in cell:
+    colors = [0] * len(verts)
+    for i, cell in enumerate(_stable(view, len(verts))[0]):
+        for v in vertices_of(cell):
             colors[v] = i
     return dict(zip(verts, colors))
 

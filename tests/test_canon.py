@@ -30,6 +30,7 @@ from graphchomp.families import (
     complete_npartite,
     cycle,
     erdos_renyi,
+    full_simplex,
     gmk,
     graph_complex,
     path,
@@ -302,6 +303,11 @@ def _symmetric_graphs():
     # edges whose endpoints are not faces, so presence splits the cells
     absent = SimplicialComplex(6, frozenset(
         [0b11, 0b110, 0b1100, 0b11000, 0b110000, 0b100001, 0b1, 0b1000]))
+    boundary = [close_down([(1 << n) - 1 ^ 1 << i for i in range(n)], n)
+                for n in (4, 5, 6)]
+    octahedron = close_down([mask_of([a, b, c]) for a in (0, 1)
+                             for b in (2, 3) for c in (4, 5)], 6)
+    strip = close_down([mask_of([i, i + 1, i + 2]) for i in range(18)], 20)
     return {
         "cycle16": cycle(16), "petersen": petersen, "q4": q4, "rook4x4": rook,
         "shrikhande": shrikhande, "k8_8": complete_npartite([8, 8]),
@@ -314,6 +320,11 @@ def _symmetric_graphs():
         "path40": path(40),
         "gmk10_6_3": relabel(gmk(10, 6, 3),
                              {v: 3 * v + 1 for v in range(20)}, 61),
+        # complexes: a face of 3 or more vertices refines on face classes
+        "full_simplex6": full_simplex(6),
+        "simplex_boundary5": boundary[1], "simplex_boundary6": boundary[2],
+        "octahedron": octahedron, "tetrahedra2": _union(*boundary[:1] * 2),
+        "strip20": relabel(strip, {v: 2 * v + 1 for v in range(20)}, 41),
     }
 
 
@@ -330,11 +341,11 @@ def test_refinement_matches_reference_on_symmetric_graphs(name):
 
 def test_graph_views_never_reach_the_complex_refiner(monkeypatch):
     # a graph refines and searches on its neighbour rows; only a face of 3
-    # or more vertices takes the complex refiner
-    def refuse(n, fmembers):
+    # or more vertices takes the complex refinement on face classes
+    def refuse(view, n):
         raise AssertionError("complex refiner")
 
-    monkeypatch.setattr(canon, "_refiner", refuse)
+    monkeypatch.setattr(canon, "_face_stable", refuse)
     for c in (erdos_renyi(8, 0.5, 4), wheel(7), path(40),
               _symmetric_graphs()["absent"]):
         view = dense_view(c)
