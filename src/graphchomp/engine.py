@@ -101,7 +101,8 @@ class TableCapacityError(RuntimeError):
 
 
 TABLE_VERSION = 2
-_HEX_KEY = re.compile(r"(?:[0-9a-f]{2})+")
+# every key the engine writes is a sha256 digest: 32 bytes, 64 hex digits
+_HEX_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 def _entries_checksum(entries: dict[str, int]) -> str:
@@ -189,7 +190,7 @@ class TranspositionTable:
             raise ValueError("cache file has no entries object")
         for k, v in entries.items():
             if not _HEX_KEY.fullmatch(k):
-                raise ValueError(f"cache key {k!r} is not hex")
+                raise ValueError(f"cache key {k!r} is not a 32-byte hex digest")
             if type(v) is not int or v < 0:
                 raise ValueError(f"cache value {v!r} is not a nim-value")
         if data.get("checksum") != _entries_checksum(entries):

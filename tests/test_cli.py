@@ -7,6 +7,7 @@ import pytest
 
 from graphchomp import cli
 from graphchomp.cli import build_parser, main
+from graphchomp.engine import _entries_checksum
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +354,22 @@ def test_edited_cache_file_exits_2(capsys, tmp_path):
     assert code == 0
     data = json.loads(cache.read_text())
     data["entries"] = {k: 2 for k in data["entries"]}
+    cache.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "solve", "--family", "complete:3", "--json",
+                        "--cache", str(cache))
+    assert code == 2 and out == ""
+
+
+def test_cache_key_that_is_no_digest_exits_2(capsys, tmp_path):
+    # a 1-byte key with a recomputed checksum is a self-consistent file the
+    # engine never writes: every key it writes is a 32-byte digest
+    cache = tmp_path / "cache.json"
+    code, _ = run_cli(capsys, "solve", "--family", "complete:3", "--json",
+                      "--cache", str(cache))
+    assert code == 0
+    data = json.loads(cache.read_text())
+    data["entries"]["ab"] = 1
+    data["checksum"] = _entries_checksum(data["entries"])
     cache.write_text(json.dumps(data))
     code, out = run_cli(capsys, "solve", "--family", "complete:3", "--json",
                         "--cache", str(cache))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -73,9 +74,14 @@ def test_table_capacity():
         t.insert(b"b", 2)
 
 
+def _digest(i: int) -> bytes:
+    """A table key of the engine's form: a 32-byte sha256 digest."""
+    return hashlib.sha256(bytes([i])).digest()
+
+
 def test_table_save_load(tmp_path):
     t = TranspositionTable()
-    t.insert(b"\x01\x02", 7)
+    t.insert(_digest(1), 7)
     p = tmp_path / "cache.json"
     t.save(str(p))
     back = TranspositionTable.load(str(p))
@@ -85,7 +91,7 @@ def test_table_save_load(tmp_path):
 def test_table_load_refuses_more_entries_than_capacity(tmp_path):
     t = TranspositionTable()
     for i in range(22):
-        t.insert(bytes([i]), i % 3)
+        t.insert(_digest(i), i % 3)
     p = tmp_path / "cache.json"
     t.save(str(p))
     with pytest.raises(ValueError, match="22 entries.*capacity 3"):
@@ -96,7 +102,7 @@ def test_table_load_refuses_more_entries_than_capacity(tmp_path):
 def test_table_save_failure_keeps_previous_file(tmp_path, monkeypatch):
     p = tmp_path / "cache.json"
     old = TranspositionTable()
-    old.insert(b"\x01", 1)
+    old.insert(_digest(1), 1)
     old.save(str(p))
     before = p.read_bytes()
 
@@ -105,7 +111,7 @@ def test_table_save_failure_keeps_previous_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     new = TranspositionTable()
-    new.insert(b"\x02", 2)
+    new.insert(_digest(2), 2)
     monkeypatch.setattr(json, "dump", failing_dump)
     with pytest.raises(OSError):
         new.save(str(p))
@@ -136,21 +142,38 @@ def test_table_load_rejects_edited_values(tmp_path):
 @pytest.mark.parametrize("edit", [
     lambda d: d.update(version=1),
     lambda d: d.pop("checksum"),
-    lambda d: d["entries"].update({"0g": 1}),
-    lambda d: d["entries"].update({"01": -1}),
-    lambda d: d["entries"].update({"01": "1"}),
-    lambda d: d["entries"].update({"01": 1.0}),
-    lambda d: d["entries"].update({"01": True}),
+    lambda d: d["entries"].update({"0g" * 32: 1}),
+    lambda d: d["entries"].update({"01" * 32: -1}),
+    lambda d: d["entries"].update({"01" * 32: "1"}),
+    lambda d: d["entries"].update({"01" * 32: 1.0}),
+    lambda d: d["entries"].update({"01" * 32: True}),
 ])
 def test_table_load_rejects_malformed_files(tmp_path, edit):
     p = tmp_path / "cache.json"
     t = TranspositionTable()
-    t.insert(b"\x02", 3)
+    t.insert(_digest(2), 3)
     t.save(str(p))
     data = json.loads(p.read_text())
     edit(data)
     p.write_text(json.dumps(data))
     with pytest.raises(ValueError):
+        TranspositionTable.load(str(p))
+
+
+@pytest.mark.parametrize("key", ["ab", "01" * 31, "01" * 33, "AB" * 32],
+                         ids=["1-byte", "31-byte", "33-byte", "upper-case"])
+def test_table_load_refuses_keys_that_are_not_digests(tmp_path, key):
+    # a self-consistent file (checksum recomputed) whose key is not a
+    # 32-byte digest in lower-case hex was not written by the engine
+    p = tmp_path / "cache.json"
+    t = TranspositionTable()
+    t.insert(_digest(2), 3)
+    t.save(str(p))
+    data = json.loads(p.read_text())
+    data["entries"][key] = 1
+    data["checksum"] = engine._entries_checksum(data["entries"])
+    p.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="32-byte"):
         TranspositionTable.load(str(p))
 
 
@@ -428,10 +451,10 @@ def test_fresh_solve_builds_no_complex_after_its_root(monkeypatch):
 
 def _count_refinements(monkeypatch) -> dict[str, int]:
     """Count the runs of the stable refinement (canon._row_stable for a
-    graph, canon._refiner for a complex) and of the canonical search, which
-    runs one of them once per key.  A refinement the involution search runs
-    of its own shows as more refinement runs than searches."""
-    counts = {"_refiner": 0, "_row_stable": 0, "canonical_order": 0}
+    graph, canon._face_stable for a complex) and of the canonical search,
+    which runs one of them once per key.  A refinement the involution
+    search runs of its own shows as more refinement runs than searches."""
+    counts = {"_face_stable": 0, "_row_stable": 0, "canonical_order": 0}
     for name in counts:
         original = getattr(canon, name)
 
@@ -455,7 +478,7 @@ def test_colouring_survives_a_root_key_hit(monkeypatch):
     record = grundy(c, EngineConfig(True, False, True), TranspositionTable())
     assert record.stats["nodes"] > 0
     assert symmetry._first_involution.cache
-    assert counts["_refiner"] + counts["_row_stable"] \
+    assert counts["_face_stable"] + counts["_row_stable"] \
         <= counts["canonical_order"]
 
 
@@ -474,7 +497,7 @@ def test_certificate_without_reduction_reuses_the_colouring(monkeypatch):
                      full_spectrum=True)
         assert (rec.value, rec.witness_moves) == (ref.value, ref.witness_moves)
     assert symmetry._first_involution.cache
-    assert counts["_refiner"] + counts["_row_stable"] \
+    assert counts["_face_stable"] + counts["_row_stable"] \
         <= counts["canonical_order"]
 
 
