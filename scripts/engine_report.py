@@ -15,7 +15,10 @@ exhausted, with the CPU time it spent until then; it never guesses.
 With --repeat N each position is measured N times per side, engine and
 oracle runs alternating (the oracle first in every second round), and each
 side also reports its CPU seconds per run with their median and quartiles;
-the ratio is then the ratio of the medians.  On a shared 2-core VM the
+the ratio is then the ratio of the medians.  An oracle whose first run
+exhausts its budget runs once: its budget is a node count, so every
+further run would exhaust it again, and that one run is reported without
+a spread.  On a shared 2-core VM the
 runs of one position spread by up to 50%, more than one run per side can
 tell from a change.
 
@@ -163,6 +166,9 @@ def main(argv=None) -> int:
         for r in range(args.repeat):
             order = ("engine", "oracle") if r % 2 == 0 else ("oracle", "engine")
             for solver in order:
+                if solver == "oracle" and runs["oracle"] and \
+                        runs["oracle"][0]["exhausted"]:
+                    continue
                 runs[solver].append(run_child(["--measure", name, solver]))
         engine, oracle = runs["engine"][0], runs["oracle"][0]
         every = runs["engine"] + runs["oracle"]
@@ -175,7 +181,8 @@ def main(argv=None) -> int:
             return 1
         if args.repeat > 1:
             engine = dict(engine, **spread(runs["engine"]))
-            oracle = dict(oracle, **spread(runs["oracle"]))
+            if len(runs["oracle"]) > 1:
+                oracle = dict(oracle, **spread(runs["oracle"]))
         cpu = "cpu_s_median" if args.repeat > 1 else "cpu_s"
         row = {
             "position": name, "spec": spec,
