@@ -442,8 +442,10 @@ def refinement_colors(c: SimplicialComplex | tuple[int, ...]) -> dict[int, int]:
         return dict(zip(verts, perm.translate(key.colors.ljust(256, b"\0"))))
     colors = [0] * len(verts)
     for i, cell in enumerate(_stable(view, len(verts))[0]):
-        for v in vertices_of(cell):
-            colors[v] = i
+        while cell:
+            low = cell & -cell
+            colors[low.bit_length() - 1] = i
+            cell ^= low
     return dict(zip(verts, colors))
 
 
