@@ -18,9 +18,8 @@ side also reports its CPU seconds per run with their median and quartiles;
 the ratio is then the ratio of the medians.  An oracle whose first run
 exhausts its budget runs once: its budget is a node count, so every
 further run would exhaust it again, and that one run is reported without
-a spread.  On a shared 2-core VM the
-runs of one position spread by up to 50%, more than one run per side can
-tell from a change.
+a spread.  On a shared 2-core VM the runs of one position spread by up to
+50%, more than one run per side can tell from a change.
 
 Positions: two random graphs and a random complex on 8 vertices (the first
 complex of solverbench's `search` pool) where every engine feature is on,

@@ -221,11 +221,14 @@ def _rounds(rows: list[int], cells: list[int], fresh: list[int],
                             cell ^= low
                             near |= incident[low.bit_length() - 1]
                 fresh = [c for c in fresh if c & near]
-                # a key is (size, member counts per cell, larger first)
-                fresh.sort(key=lambda c: (
-                    rows[(c & -c).bit_length() - 1].bit_count(),
-                    [-(rows[(c & -c).bit_length() - 1] & cell).bit_count()
-                     for cell in cells]))
+
+                def key(c: int):
+                    # (size, member counts per cell, larger first) of a
+                    # face of the class
+                    f = rows[(c & -c).bit_length() - 1]
+                    return f.bit_count(), [-(f & cell).bit_count()
+                                           for cell in cells]
+                fresh.sort(key=key)
         cells, fresh = _round(rows, cells, fresh)
     return cells, classes
 
