@@ -1,7 +1,7 @@
 """Isomorphism-invariant canonical keys for small complexes.
 
 A colouring is an ordered list of cells, vertex masks, and a vertex's
-colour is the index of its cell.  The stable colouring (`refinement_colors`)
+colour is the index of its cell.  The stable colouring (`stable_cells`)
 and the canonical search (`canonical_order`) share one colour refinement
 for graphs and complexes.  Each synchronous round splits every cell by the
 signature (colour, presence, sorted neighbour colours) for a graph, or
@@ -46,13 +46,13 @@ canonical labels: view vertex v has colour key.colors[perm[v]].  Rounds
 and individualization split cells in place, so every leaf keeps the
 stable cells in order, and the canonical labels of stable cell i are the
 i-th run; key.colors is read off the cell sizes (`_stable_colors`).
-`refinement_colors` answers from there, so the involution search of a
-position keyed before runs no refinement of its own and no caller hands a
-colouring on.  The engine reaches a class's sub-positions under new labels
-in every solve; it records them in the class's canonical labels (see
-engine.class_moves) and registers the views it keys from that record here
-with their labellings.  A disjoint union is keyed from its parts' keys
-(`union_key`).
+`stable_cells` answers from there (`refinement_colors` is its dict), so
+the involution search of a position keyed before runs no refinement of
+its own and no caller hands a colouring on.  The engine reaches a class's
+sub-positions under new labels in every solve; it records them in the
+class's canonical labels (see engine.class_moves) and registers the views
+it keys from that record here with their labellings.  A disjoint union is
+keyed from its parts' keys (`union_key`).
 """
 
 from __future__ import annotations
@@ -427,29 +427,36 @@ def view_entry(view: tuple[int, ...]) -> tuple[CanonicalKey, bytes]:
     return entry
 
 
-def refinement_colors(c: SimplicialComplex | tuple[int, ...]) -> dict[int, int]:
-    """Stable vertex coloring of c, a complex or its sorted face tuple;
-    automorphisms preserve color classes.  Read off the class key when
-    view_keys holds c's view: vertex v has colour key.colors[perm[v]], and
-    no refinement runs.
-    """
-    faces = c if type(c) is tuple else sorted(c.faces)
-    vmask = reduce(or_, faces, 0)
-    verts = vertices_of(vmask)
-    view = tuple(squeeze(faces, vmask))  # c itself when c is a dense view
+def stable_cells(view: tuple[int, ...], n: int):
+    """The stable colouring of a dense view on n vertices as (colors, cells):
+    v's colour and the ordered cells, vertex masks, so v's cell is
+    cells[colors[v]].  Read off the view's class key when it has one."""
     entry = view_keys.get(view)
     if entry is not None:
         # perm's bytes are canonical labels: translate maps each through
         # the class colouring, padded to a 256-byte table
         key, perm = entry
-        return dict(zip(verts, perm.translate(key.colors.ljust(256, b"\0"))))
-    colors = [0] * len(verts)
-    for i, cell in enumerate(_stable(view, len(verts))[0]):
-        while cell:
-            low = cell & -cell
-            colors[low.bit_length() - 1] = i
-            cell ^= low
-    return dict(zip(verts, colors))
+        colors = perm.translate(key.colors.ljust(256, b"\0"))
+    else:
+        colors = [0] * n
+        for i, cell in enumerate(_stable(view, n)[0]):
+            for v in vertices_of(cell):
+                colors[v] = i
+    cells = [0] * (max(colors, default=-1) + 1)
+    for v, color in enumerate(colors):
+        cells[color] |= 1 << v
+    return colors, cells
+
+
+def refinement_colors(c: SimplicialComplex | tuple[int, ...]) -> dict[int, int]:
+    """Stable vertex coloring of c, a complex or its sorted face tuple;
+    automorphisms preserve color classes.  Read from stable_cells on c's
+    dense view."""
+    faces = c if type(c) is tuple else sorted(c.faces)
+    vmask = reduce(or_, faces, 0)
+    verts = vertices_of(vmask)
+    view = tuple(squeeze(faces, vmask))  # c itself when c is a dense view
+    return dict(zip(verts, stable_cells(view, len(verts))[0]))
 
 
 def union_key(keys: list[CanonicalKey]) -> CanonicalKey:

@@ -4,6 +4,11 @@ A valid involution is an order-2 vertex permutation that maps faces to
 faces and whose setwise-fixed faces are all pointwise fixed (equivalently,
 the fixed point set is itself a simplicial complex).  Such a reduction
 preserves the nim-value, so positions can be shrunk before searching.
+
+The search backtracks on canon's representation of a dense view: the
+stable cells (canon.stable_cells) and neighbour rows (canon._view_rows) as
+vertex masks.  Its first involution answers both find_reduction and
+is_simplest_form.
 """
 
 from __future__ import annotations
@@ -14,14 +19,13 @@ from functools import reduce
 from operator import or_
 from typing import Iterator, Optional
 
-from .canon import refinement_colors
+from .canon import _view_rows, stable_cells
 from .complexes import (
     SimplicialComplex,
     dense_complex,
-    is_graph,
     mask_of,
     memoize,
-    neighbour_rows,
+    squeeze,
     vertices_of,
 )
 
@@ -33,9 +37,7 @@ class Involution:
 
     @classmethod
     def from_mapping(cls, mapping: dict[int, int]) -> "Involution":
-        pairs = sorted(
-            (v, w) for v, w in ((v, mapping[v]) for v in mapping) if v < w
-        )
+        pairs = sorted((v, w) for v, w in mapping.items() if v < w)
         fixed = sorted(v for v in mapping if mapping[v] == v)
         return cls(tuple(pairs), tuple(fixed))
 
@@ -71,11 +73,8 @@ class ReductionTrace:
         data = json.loads(trace_json)
         pos = c
         for step in data["steps"]:
-            mapping = {v: v for v in step["fixed_vertices"]}
-            for a, b in step["pairs"]:
-                mapping[a] = b
-                mapping[b] = a
-            t = Involution.from_mapping(mapping)
+            t = Involution(tuple(map(tuple, step["pairs"])),
+                           tuple(step["fixed_vertices"]))
             pos = fixed_point_set(pos, t)
         return pos
 
@@ -130,69 +129,61 @@ def _sorted_faces(c: SimplicialComplex | tuple[int, ...]) -> tuple[int, ...]:
 
 def _valid_involutions(c: SimplicialComplex | tuple[int, ...]) -> Iterator[Involution]:
     """All valid non-identity involutions of c, a complex or its sorted face
-    tuple, in c's labels, via backtracking over color classes.
+    tuple, in c's labels, by backtracking on vertex masks over c's dense
+    view (a gapped c is squeezed onto it and the results mapped back).
 
-    Order: each vertex in ascending label order tries every unassigned
-    partner of its own refinement color in ascending order, and being fixed
-    last.  Refinement colors are automorphism-invariant, so no other image
-    is possible; pairing two adjacent vertices is pruned immediately (their
-    shared edge would be setwise fixed).
+    Order: the lowest unassigned vertex v tries each partner w in
+    ascending order, then being fixed.  The partners are v's stable cell
+    less the assigned vertices and v's neighbours, all above v: stable
+    colours are automorphism-invariant, and swapping adjacent vertices
+    fixes their edge setwise.  The image w of v (v when fixed) must keep
+    v's adjacency to the fixed vertices, one test on the rows, and to each
+    assigned pair (a, b): v~a iff w~b and v~b iff w~a.
 
-    On a graph every complete candidate is valid: colours keep presence, so
-    singletons map to singletons; `consistent` checks adjacency for every
-    assigned pair, so edges map to edges; and no edge has its endpoints
-    swapped, so every setwise-fixed face is pointwise fixed.  Other
-    candidates are yielded only if validate_involution accepts them.
+    On a graph every leaf is valid: colours keep presence, so singletons
+    map to singletons; the tests keep adjacency, so edges map to edges; and
+    no edge has its endpoints swapped, so every setwise-fixed face is
+    pointwise fixed.  A complex's leaves are yielded only if
+    validate_involution accepts them.
     """
     faces = _sorted_faces(c)
     vmask = reduce(or_, faces, 0)
+    n = vmask.bit_count()
+    view = tuple(squeeze(faces, vmask))  # faces itself when c is dense
+    colors, cells = stable_cells(view, n)
+    if len(cells) == n:
+        return  # discrete: no automorphism but the identity
+    rows, _, _, _, larger = _view_rows(view, n)
+    face_set = frozenset(faces) if larger else None  # see above
     verts = vertices_of(vmask)
-    if len(verts) < 2:
-        return
-    colors = refinement_colors(faces)
-    nb = neighbour_rows(faces, vmask.bit_length())
-    face_set = None if is_graph(faces) else frozenset(faces)  # see above
 
-    mapping: dict[int, int] = {}
-
-    def consistent(v: int, image: int) -> bool:
-        nv, ni = nb[v], nb[image]
-        for u, tu in mapping.items():
-            if u == v:
-                continue
-            # the partial mapping is injective, so image != tu as well
-            if (nv >> u & 1) != (ni >> tu & 1):
-                return False
-        return True
-
-    def backtrack(i: int) -> Iterator[Involution]:
-        if i == len(verts):
-            t = Involution.from_mapping(mapping)
+    def search(assigned: int, fixed: int, pairs: list) -> Iterator[Involution]:
+        low = ~assigned & (assigned + 1)  # the lowest unassigned vertex
+        v = low.bit_length() - 1
+        if v == n:  # a leaf: every vertex is assigned
+            t = Involution(tuple((verts[a], verts[b]) for a, b in pairs),
+                           tuple(map(verts.__getitem__, vertices_of(fixed))))
             if not t.is_identity() and (
-                    not face_set or validate_involution(face_set, mapping)[0]):
+                    face_set is None or validate_involution(face_set, t)[0]):
                 yield t
             return
-        v = verts[i]
-        if v in mapping:
-            yield from backtrack(i + 1)
-            return
-        for w in verts[i + 1:]:
-            if w in mapping or colors[w] != colors[v]:
+        row = rows[v]
+        assigned |= low
+        for w in (*vertices_of(cells[colors[v]] & ~assigned & ~row), v):
+            other = rows[w]
+            if (row ^ other) & fixed:
                 continue
-            if nb[v] >> w & 1:
-                continue  # swapped endpoints would fix their edge setwise
-            mapping[v] = w
-            mapping[w] = v
-            if consistent(v, w) and consistent(w, v):
-                yield from backtrack(i + 1)
-            del mapping[v]
-            del mapping[w]
-        mapping[v] = v
-        if consistent(v, v):
-            yield from backtrack(i + 1)
-        del mapping[v]
+            for a, b in pairs:
+                if (row >> a ^ other >> b | row >> b ^ other >> a) & 1:
+                    break
+            else:
+                if w != v:
+                    yield from search(assigned | 1 << w, fixed,
+                                      pairs + [(v, w)])
+                else:
+                    yield from search(assigned, fixed | low, pairs)
 
-    yield from backtrack(0)
+    yield from search(0, 0, [])
 
 
 @memoize

@@ -26,6 +26,7 @@ from graphchomp.symmetry import (
 )
 
 from conftest import small_complexes, small_graphs
+from test_canon import _symmetric_graphs
 
 
 def test_involution_must_be_order_two():
@@ -129,20 +130,56 @@ def _involutions(verts):
             yield {v: w, w: v, **m}
 
 
-@given(st.one_of(small_graphs(), graphs_with_bare_endpoints()))
+def _search_order(m):
+    """The place of involution m in _valid_involutions order: over the
+    ascending vertices that are not a pair's upper member, the partner,
+    with being fixed last."""
+    return [m[v] if m[v] != v else float("inf") for v in sorted(m) if m[v] >= v]
+
+
+@given(st.one_of(small_graphs(), graphs_with_bare_endpoints(),
+                 small_complexes()))
 @settings(max_examples=150, deadline=None)
 def test_graph_search_reaches_only_valid_involutions(c):
-    # on graphs _valid_involutions yields every complete candidate without
-    # validating it; each must be valid, and together they must be all of
-    # the valid non-identity involutions
-    found = list(_valid_involutions(c))
-    for t in found:
-        assert validate_involution(c, t) == (True, None), t
-    want = [m for m in _involutions(list(c.vertices()))
-            if any(v != w for v, w in m.items())
-            and validate_involution(c, m)[0]]
-    assert sorted(t.pairs for t in found) == \
-        sorted(Involution.from_mapping(m).pairs for m in want)
+    # a graph's leaves are yielded without validation; on graphs and
+    # complexes, and on a gapped relabeling of each, the search yields
+    # exactly the valid non-identity involutions, in the documented order
+    gapped = relabel(c, {v: 2 * v + 1 for v in c.vertices()},
+                     2 * c.ground_size + 1)
+    for d in (c, gapped):
+        found = list(_valid_involutions(d))
+        for t in found:
+            assert validate_involution(d, t) == (True, None), t
+        want = sorted((m for m in _involutions(list(d.vertices()))
+                       if any(v != w for v, w in m.items())
+                       and validate_involution(d, m)[0]), key=_search_order)
+        assert found == [Involution.from_mapping(m) for m in want]
+
+
+# find_reduction on symmetric positions (tests/test_canon.py builds them),
+# as (pairs, fixed); path40 and strip20 are above the 16-vertex bound
+PINNED_FIRST_INVOLUTIONS = {
+    "torus": (((0, 5), (1, 3), (2, 4)), (6, 7, 8)),
+    "wheel6": (((0, 2), (3, 5)), (1, 4, 6)),
+    "wheel8": (((0, 2), (3, 7), (4, 6)), (1, 5, 8)),
+    "petersen": (((0, 2), (3, 5), (4, 7)), (1, 6, 8, 9)),
+    "q4": (((0, 3), (1, 2), (4, 7), (5, 6), (8, 11), (9, 10), (12, 15),
+            (13, 14)), ()),
+    "rook4x4": (((0, 5), (1, 4), (2, 7), (3, 6), (8, 13), (9, 12), (10, 15),
+                 (11, 14)), ()),
+    "k8_8": (((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13),
+              (14, 15)), ()),
+    "octahedron": (((0, 1), (2, 3), (4, 5)), ()),
+    "path40": None,
+    "strip20": None,
+}
+
+
+def test_first_involutions_are_pinned():
+    positions = _symmetric_graphs()
+    for name, want in PINNED_FIRST_INVOLUTIONS.items():
+        t = find_reduction(positions[name])
+        assert (None if t is None else (t.pairs, t.fixed)) == want, name
 
 
 def test_simplest_form_examples():
